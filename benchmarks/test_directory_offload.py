@@ -15,6 +15,7 @@ from _helpers import dummy_datasets, save_table
 from repro.analysis import format_table
 from repro.core import (
     Address,
+    DirectoryProfile,
     FLSession,
     GRADIENT,
     ProtocolConfig,
@@ -24,7 +25,7 @@ from repro.core import (
 from repro.core.directory import DirectoryClient, DirectoryService
 from repro.ipfs import DHT, IPFSClient, IPFSNode
 from repro.ml import SyntheticModel
-from repro.net import Network, Transport, mbps
+from repro.net import Network, NetworkProfile, Transport, mbps
 from repro.sim import Simulator
 
 NUM_TRAINERS = 16
@@ -45,9 +46,8 @@ def run_session(batch: bool, processing_delay: float = 0.0):
         config,
         lambda: SyntheticModel(MODEL_PARAMS),
         dummy_datasets(NUM_TRAINERS),
-        num_ipfs_nodes=8,
-        bandwidth_mbps=10.0,
-        directory_processing_delay=processing_delay,
+        network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
+        directory=DirectoryProfile(processing_delay=processing_delay),
     )
     metrics = session.run_iteration()
     host = session.testbed.network.host("directory")

@@ -20,6 +20,7 @@ from repro.analysis import format_table, series_shape
 from repro.baselines import DirectIPLSSession
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
+from repro.net import NetworkProfile
 
 NUM_TRAINERS = 16
 PARTITION_PARAMS = 162_500  # ~1.3 MB of float64 (the paper's 1.3MB)
@@ -51,8 +52,8 @@ def run_provider_sweep():
                     providers_per_aggregator=providers),
             _model_factory,
             dummy_datasets(NUM_TRAINERS),
-            num_ipfs_nodes=max(PROVIDER_COUNTS),
-            bandwidth_mbps=BANDWIDTH_MBPS,
+            network=NetworkProfile(num_ipfs_nodes=max(PROVIDER_COUNTS),
+                                   bandwidth_mbps=BANDWIDTH_MBPS),
         )
         metrics = session.run_iteration()
         rows.append({
@@ -70,8 +71,8 @@ def run_naive_indirect():
         _config(merge_and_download=False),
         _model_factory,
         dummy_datasets(NUM_TRAINERS),
-        num_ipfs_nodes=8,
-        bandwidth_mbps=BANDWIDTH_MBPS,
+        network=NetworkProfile(num_ipfs_nodes=8,
+                               bandwidth_mbps=BANDWIDTH_MBPS),
     )
     metrics = session.run_iteration()
     return {

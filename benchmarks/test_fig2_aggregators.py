@@ -19,6 +19,7 @@ from repro.analysis import aggregator_download_bytes, format_table, \
     series_shape
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
+from repro.net import NetworkProfile
 
 NUM_TRAINERS = 16
 NUM_PARTITIONS = 4
@@ -44,8 +45,8 @@ def run_sweep():
             config,
             lambda: SyntheticModel(PARTITION_PARAMS * NUM_PARTITIONS),
             dummy_datasets(NUM_TRAINERS),
-            num_ipfs_nodes=8,
-            bandwidth_mbps=BANDWIDTH_MBPS,
+            network=NetworkProfile(num_ipfs_nodes=8,
+                                   bandwidth_mbps=BANDWIDTH_MBPS),
         )
         metrics = session.run_iteration()
         partition_bytes = (PARTITION_PARAMS + 1) * 8

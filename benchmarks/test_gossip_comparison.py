@@ -25,6 +25,7 @@ from repro.ml import (
     split_dirichlet,
     train_test_split,
 )
+from repro.net import NetworkProfile
 
 ROUNDS = 4
 NUM_TRAINERS = 8
@@ -46,7 +47,8 @@ def test_gossip_vs_protocol_non_iid(benchmark):
 
     def experiment():
         gossip = GossipFLSession(config, factory, shards, fanout=2, seed=1)
-        ours = FLSession(config, factory, shards, num_ipfs_nodes=4)
+        ours = FLSession(config, factory, shards,
+                         network=NetworkProfile(num_ipfs_nodes=4))
         rows = []
         for round_index in range(ROUNDS):
             gossip.run_iteration()

@@ -32,6 +32,7 @@ from repro.analysis import format_table
 from repro.analysis.scale import ScaleScenario, run_scale_point
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
+from repro.net import NetworkProfile
 from repro.obs import (
     AnomalyWatchdog,
     FlightRecorder,
@@ -81,8 +82,7 @@ def _make_session():
         config,
         model_factory=lambda: SyntheticModel(PARTITION_PARAMS),
         datasets=dummy_datasets(NUM_TRAINERS),
-        num_ipfs_nodes=8,
-        bandwidth_mbps=10.0,
+        network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
     )
 
 

@@ -12,6 +12,7 @@ from _helpers import dummy_datasets, save_table
 from repro.analysis import Sweep, format_table
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
+from repro.net import NetworkProfile
 
 POLL_INTERVALS = [0.1, 0.5, 2.0]
 NUM_TRAINERS = 8
@@ -30,8 +31,7 @@ def run_with_interval(poll_interval: float) -> dict:
         config,
         lambda: SyntheticModel(MODEL_PARAMS),
         dummy_datasets(NUM_TRAINERS),
-        num_ipfs_nodes=4,
-        bandwidth_mbps=10.0,
+        network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=10.0),
     )
     metrics = session.run_iteration()
     return {

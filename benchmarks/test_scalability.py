@@ -34,6 +34,7 @@ from repro.analysis import (
 )
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import SyntheticModel
+from repro.net import NetworkProfile
 
 TRAINER_COUNTS = [4, 8, 16, 32]
 POPULATIONS = [100, 1_000, 10_000, 100_000]
@@ -53,8 +54,7 @@ def run_with_trainers(num_trainers: int) -> dict:
         config,
         lambda: SyntheticModel(MODEL_PARAMS),
         dummy_datasets(num_trainers),
-        num_ipfs_nodes=8,
-        bandwidth_mbps=10.0,
+        network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
     )
     metrics = session.run_iteration()
     return {

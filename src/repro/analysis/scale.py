@@ -39,6 +39,7 @@ move at all between runs.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -177,6 +178,25 @@ def _attach_observability(session, scenario: ScaleScenario):
     return registry, sampler
 
 
+def _timed_rounds(session, iterations: int, clock: WallClock) -> float:
+    """Wall seconds per round over ``iterations`` rounds of ``session``.
+
+    The window starts on a collected, frozen heap: everything allocated
+    before it (earlier repeats, earlier work in the same process) moves
+    to the permanent generation, so a full collection of that garbage
+    cannot land inside the measurement.
+    """
+    gc.collect()
+    gc.freeze()
+    try:
+        started = clock.seconds()
+        for _ in range(iterations):
+            session.run_iteration()
+        return (clock.seconds() - started) / iterations
+    finally:
+        gc.unfreeze()
+
+
 def run_scale_point(population: int,
                     scenario: ScaleScenario = ScaleScenario(),
                     repeats: int = 1,
@@ -209,11 +229,8 @@ def run_scale_point(population: int,
         reporter = None
         if progress is not None and repeat == repeats - 1:
             reporter = progress(session, registry)
-        started = clock.seconds()
-        for _ in range(scenario.iterations):
-            session.run_iteration()
-        wall = (clock.seconds() - started) / scenario.iterations
-        best_wall = min(best_wall, wall)
+        best_wall = min(best_wall, _timed_rounds(
+            session, scenario.iterations, clock))
         if sampler is not None:
             sampler.stop()
         if registry is not None:
@@ -457,11 +474,8 @@ def run_dirshard_point(population: int, shards: int,
     session = None
     for _ in range(repeats):
         session = _build_dirshard_session(population, shards, scenario)
-        started = clock.seconds()
-        for _ in range(scenario.iterations):
-            session.run_iteration()
-        wall = (clock.seconds() - started) / scenario.iterations
-        best_wall = min(best_wall, wall)
+        best_wall = min(best_wall, _timed_rounds(
+            session, scenario.iterations, clock))
     directory = session.directory
     shard_servers = getattr(directory, "shards", None)
     if shard_servers is None:

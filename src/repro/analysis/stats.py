@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
+from ..obs.sketch import interpolated_percentile
+
 __all__ = ["Summary", "summarize", "percentile", "bootstrap_ci"]
 
 
@@ -42,16 +44,7 @@ def percentile(values: Sequence[float], q: float) -> float:
         raise ValueError("empty series")
     if not 0.0 <= q <= 100.0:
         raise ValueError("q must be in [0, 100]")
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    position = (len(ordered) - 1) * q / 100.0
-    low = math.floor(position)
-    high = math.ceil(position)
-    if low == high:
-        return float(ordered[low])
-    weight = position - low
-    return float(ordered[low] * (1 - weight) + ordered[high] * weight)
+    return interpolated_percentile(sorted(values), q)
 
 
 def summarize(values: Sequence[float]) -> Summary:

@@ -19,26 +19,19 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..ml import Dataset, Model, compute_gradient, local_update
+from ..ml import Dataset, Model
 from ..net import Network, Transport, mbps
-from ..obs import TelemetryCollector
 from ..obs.events import (
     BytesReceived,
     GradientRegistered,
     GradientsAggregated,
-    IterationFinished,
-    IterationStarted,
-    TrainerCompleted,
     UpdateRegistered,
-    UploadCompleted,
 )
 from ..sim import Simulator
 from ..core.config import ProtocolConfig
-from ..core.partition import decode_partition, encode_partition, \
-    sum_encoded_partitions
-from ..core.telemetry import IterationMetrics, SessionMetrics
+from ..core.partition import sum_encoded_partitions
+from ..core.rounds import RoundSession
+from .centralized import star_trainer_round
 
 __all__ = ["Block", "Chain", "BlockchainFLSession"]
 
@@ -118,8 +111,10 @@ def blob_hash(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-class BlockchainFLSession:
+class BlockchainFLSession(RoundSession):
     """BCFL over the emulated network: miners + trainers."""
+
+    driver_prefix = "bcfl"
 
     def __init__(
         self,
@@ -153,9 +148,7 @@ class BlockchainFLSession:
         self.chains: Dict[str, Chain] = {
             name: Chain() for name in self.miner_names
         }
-        self.telemetry = TelemetryCollector(self.sim.bus)
-        self.metrics: SessionMetrics = self.telemetry.session
-        self._iteration = 0
+        super().__init__()
 
     def _entry_miner(self, trainer: str) -> str:
         index = self.trainer_names.index(trainer)
@@ -165,45 +158,6 @@ class BlockchainFLSession:
         return self.miner_names[iteration % len(self.miner_names)]
 
     # -- processes ---------------------------------------------------------------
-
-    def _trainer_proc(self, name: str, iteration: int):
-        bus = self.sim.bus
-        endpoint = self.transport.endpoint(name)
-        model = self.models[name]
-        if self.config.update_mode == "params":
-            delta = local_update(
-                model, self.datasets[name], self.config.train,
-                seed=self.config.seed + self.trainer_names.index(name)
-                + 7919 * iteration,
-            )
-            vector = model.get_params() + delta
-        else:
-            vector = compute_gradient(model, self.datasets[name])
-        blob = encode_partition(vector, 1.0)
-        upload_started = self.sim.now
-        yield endpoint.send(
-            self._entry_miner(name), KIND_SUBMIT,
-            payload={"trainer": name, "iteration": iteration, "blob": blob},
-            size=len(blob) + MESSAGE_OVERHEAD,
-        )
-        if bus.wants(UploadCompleted):
-            bus.publish(UploadCompleted(
-                at=self.sim.now, iteration=iteration, trainer=name,
-                delay=self.sim.now - upload_started,
-            ))
-        message = yield endpoint.receive(kind=KIND_MODEL)
-        values, counter = decode_partition(message.payload["blob"])
-        averaged = values / counter
-        if self.config.update_mode == "params":
-            model.set_params(averaged)
-        else:
-            model.set_params(
-                model.get_params() - self.config.learning_rate * averaged
-            )
-        if bus.wants(TrainerCompleted):
-            bus.publish(TrainerCompleted(
-                at=self.sim.now, iteration=iteration, trainer=name,
-            ))
 
     def _miner_proc(self, name: str, iteration: int):
         bus = self.sim.bus
@@ -315,57 +269,18 @@ class BlockchainFLSession:
 
     # -- driving rounds ------------------------------------------------------------
 
-    def run_iteration(self) -> Optional[IterationMetrics]:
-        """One BCFL round; returns its metrics."""
-        iteration = self._iteration
-        self._iteration += 1
-        bus = self.sim.bus
-        if bus.wants(IterationStarted):
-            bus.publish(IterationStarted(at=self.sim.now,
-                                         iteration=iteration))
-
-        def driver():
-            processes = [
-                self.sim.process(
-                    self._trainer_proc(name, iteration),
-                    name=f"{name}:i{iteration}",
-                )
-                for name in self.trainer_names
-            ] + [
-                self.sim.process(
-                    self._miner_proc(name, iteration),
-                    name=f"{name}:i{iteration}",
-                )
-                for name in self.miner_names
-            ]
-            yield self.sim.all_of(processes)
-
-        driver_proc = self.sim.process(driver(), name=f"bcfl:{iteration}")
-        self.sim.run_until(driver_proc)
-        if not driver_proc.ok:
-            raise driver_proc.value
-        if bus.wants(IterationFinished):
-            bus.publish(IterationFinished(at=self.sim.now,
-                                          iteration=iteration))
-        if self.metrics.iterations and \
-                self.metrics.iterations[-1].iteration == iteration:
-            return self.metrics.iterations[-1]
-        return None
-
-    def run(self, rounds: int) -> SessionMetrics:
-        for _ in range(rounds):
-            self.run_iteration()
-        return self.metrics
+    def _round(self, iteration: int):
+        # BCFL models no local compute time: trainers upload at once.
+        return self._run_all(iteration, [
+            (name, star_trainer_round(
+                self, name, index, iteration, self._entry_miner(name),
+                KIND_SUBMIT, KIND_MODEL, train_seconds=0.0,
+            ))
+            for index, name in enumerate(self.trainer_names)
+        ] + [(name, self._miner_proc(name, iteration))
+             for name in self.miner_names])
 
     # -- results ---------------------------------------------------------------------
-
-    def consensus_params(self) -> np.ndarray:
-        reference = self.models[self.trainer_names[0]].get_params()
-        for name in self.trainer_names[1:]:
-            if not np.allclose(self.models[name].get_params(), reference,
-                               atol=1e-12):
-                raise AssertionError(f"{name} diverged")
-        return reference
 
     def total_miner_storage(self) -> int:
         """Bytes stored across all miner replicas (the blow-up)."""

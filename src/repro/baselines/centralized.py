@@ -10,17 +10,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence
 
-import numpy as np
-
-from ..ml import Dataset, Model, compute_gradient, local_update
+from ..ml import Dataset, Model
 from ..net import Network, Transport, mbps
-from ..obs import TelemetryCollector
 from ..obs.events import (
     BytesReceived,
     GradientRegistered,
     GradientsAggregated,
-    IterationFinished,
-    IterationStarted,
     TrainerCompleted,
     UpdateRegistered,
     UploadCompleted,
@@ -29,9 +24,10 @@ from ..sim import Simulator
 from ..core.config import ProtocolConfig
 from ..core.partition import decode_partition, encode_partition, \
     sum_encoded_partitions
-from ..core.telemetry import IterationMetrics, SessionMetrics
+from ..core.rounds import RoundSession
+from ..core.trainer import install_update, local_update_vector
 
-__all__ = ["CentralizedSession"]
+__all__ = ["CentralizedSession", "star_trainer_round"]
 
 KIND_UPDATE_UP = "central.update"
 KIND_MODEL_DOWN = "central.model"
@@ -39,8 +35,50 @@ MESSAGE_OVERHEAD = 128
 SERVER = "server"
 
 
-class CentralizedSession:
+def star_trainer_round(session, name: str, index: int, iteration: int,
+                       server: str, upload_kind: str, model_kind: str,
+                       train_seconds: float):
+    """One trainer's round against a single server (process body).
+
+    Trains locally (after ``train_seconds`` of modeled compute), uploads
+    the full update to ``server`` as ``upload_kind``, then installs the
+    averaged model that arrives as ``model_kind``.  Centralized FL's
+    trainers run it against the server, BCFL's against their entry
+    miner.  ``session`` provides ``sim``, ``transport``, ``config`` and
+    the per-trainer ``models``/``datasets``.
+    """
+    sim, config = session.sim, session.config
+    bus = sim.bus
+    endpoint = session.transport.endpoint(name)
+    model = session.models[name]
+    if train_seconds > 0:
+        yield sim.timeout(train_seconds)
+    vector = local_update_vector(model, session.datasets[name], config,
+                                 config.seed + index, iteration)
+    blob = encode_partition(vector, 1.0)
+    upload_started = sim.now
+    yield endpoint.send(server, upload_kind,
+                        payload={"trainer": name, "blob": blob,
+                                 "iteration": iteration},
+                        size=len(blob) + MESSAGE_OVERHEAD)
+    if bus.wants(UploadCompleted):
+        bus.publish(UploadCompleted(
+            at=sim.now, iteration=iteration, trainer=name,
+            delay=sim.now - upload_started,
+        ))
+    message = yield endpoint.receive(kind=model_kind)
+    values, counter = decode_partition(message.payload["blob"])
+    install_update(model, values / counter, config)
+    if bus.wants(TrainerCompleted):
+        bus.publish(TrainerCompleted(
+            at=sim.now, iteration=iteration, trainer=name,
+        ))
+
+
+class CentralizedSession(RoundSession):
     """Server-mediated FedAvg over the emulated network."""
+
+    driver_prefix = "central"
 
     def __init__(
         self,
@@ -70,49 +108,7 @@ class CentralizedSession:
             name: self._template.clone() for name in self.trainer_names
         }
         self.datasets = dict(zip(self.trainer_names, datasets))
-        self.telemetry = TelemetryCollector(self.sim.bus)
-        self.metrics: SessionMetrics = self.telemetry.session
-        self._iteration = 0
-
-    def _trainer_proc(self, name: str, iteration: int):
-        bus = self.sim.bus
-        endpoint = self.transport.endpoint(name)
-        model = self.models[name]
-        if self.config.local_train_seconds > 0:
-            yield self.sim.timeout(self.config.local_train_seconds)
-        if self.config.update_mode == "params":
-            delta = local_update(
-                model, self.datasets[name], self.config.train,
-                seed=self.config.seed + self.trainer_names.index(name)
-                + 7919 * iteration,
-            )
-            vector = model.get_params() + delta
-        else:
-            vector = compute_gradient(model, self.datasets[name])
-        blob = encode_partition(vector, 1.0)
-        upload_started = self.sim.now
-        yield endpoint.send(SERVER, KIND_UPDATE_UP,
-                            payload={"trainer": name, "blob": blob,
-                                     "iteration": iteration},
-                            size=len(blob) + MESSAGE_OVERHEAD)
-        if bus.wants(UploadCompleted):
-            bus.publish(UploadCompleted(
-                at=self.sim.now, iteration=iteration, trainer=name,
-                delay=self.sim.now - upload_started,
-            ))
-        message = yield endpoint.receive(kind=KIND_MODEL_DOWN)
-        values, counter = decode_partition(message.payload["blob"])
-        averaged = values / counter
-        if self.config.update_mode == "params":
-            model.set_params(averaged)
-        else:
-            model.set_params(
-                model.get_params() - self.config.learning_rate * averaged
-            )
-        if bus.wants(TrainerCompleted):
-            bus.publish(TrainerCompleted(
-                at=self.sim.now, iteration=iteration, trainer=name,
-            ))
+        super().__init__()
 
     def _server_proc(self, iteration: int):
         bus = self.sim.bus
@@ -153,50 +149,11 @@ class CentralizedSession:
                 partition_id=0,
             ))
 
-    def run_iteration(self) -> Optional[IterationMetrics]:
-        """One centralized round; returns its metrics."""
-        iteration = self._iteration
-        self._iteration += 1
-        bus = self.sim.bus
-        if bus.wants(IterationStarted):
-            bus.publish(IterationStarted(at=self.sim.now,
-                                         iteration=iteration))
-
-        def driver():
-            processes = [
-                self.sim.process(
-                    self._trainer_proc(name, iteration),
-                    name=f"{name}:i{iteration}",
-                )
-                for name in self.trainer_names
-            ]
-            processes.append(self.sim.process(
-                self._server_proc(iteration),
-                name=f"server:i{iteration}",
+    def _round(self, iteration: int):
+        return self._run_all(iteration, [
+            (name, star_trainer_round(
+                self, name, index, iteration, SERVER, KIND_UPDATE_UP,
+                KIND_MODEL_DOWN, self.config.local_train_seconds,
             ))
-            yield self.sim.all_of(processes)
-
-        driver_proc = self.sim.process(driver(), name=f"central:{iteration}")
-        self.sim.run_until(driver_proc)
-        if not driver_proc.ok:
-            raise driver_proc.value
-        if bus.wants(IterationFinished):
-            bus.publish(IterationFinished(at=self.sim.now,
-                                          iteration=iteration))
-        if self.metrics.iterations and \
-                self.metrics.iterations[-1].iteration == iteration:
-            return self.metrics.iterations[-1]
-        return None
-
-    def run(self, rounds: int) -> SessionMetrics:
-        for _ in range(rounds):
-            self.run_iteration()
-        return self.metrics
-
-    def consensus_params(self) -> np.ndarray:
-        reference = self.models[self.trainer_names[0]].get_params()
-        for name in self.trainer_names[1:]:
-            if not np.allclose(self.models[name].get_params(), reference,
-                               atol=1e-12):
-                raise AssertionError(f"{name} diverged")
-        return reference
+            for index, name in enumerate(self.trainer_names)
+        ] + [(SERVER, self._server_proc(iteration))])

@@ -20,19 +20,14 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..ml import Dataset, Model, local_update
+from ..ml import Dataset, Model
 from ..net import Network, Transport, mbps
-from ..obs import TelemetryCollector
-from ..obs.events import (
-    BytesReceived,
-    IterationFinished,
-    IterationStarted,
-    TrainerCompleted,
-)
+from ..obs.events import BytesReceived, TrainerCompleted
 from ..sim import Simulator
 from ..core.config import ProtocolConfig
 from ..core.partition import decode_partition, encode_partition
-from ..core.telemetry import IterationMetrics, SessionMetrics
+from ..core.rounds import RoundSession
+from ..core.trainer import local_update_vector
 
 __all__ = ["GossipFLSession"]
 
@@ -40,8 +35,10 @@ KIND_MODEL_PUSH = "gossip.push"
 MESSAGE_OVERHEAD = 128
 
 
-class GossipFLSession:
+class GossipFLSession(RoundSession):
     """Gossip-averaging FL over direct links (no aggregators at all)."""
+
+    driver_prefix = "gossip"
 
     def __init__(
         self,
@@ -74,26 +71,24 @@ class GossipFLSession:
             name: self._template.clone() for name in self.trainer_names
         }
         self.datasets = dict(zip(self.trainer_names, datasets))
-        self.telemetry = TelemetryCollector(self.sim.bus)
-        self.metrics: SessionMetrics = self.telemetry.session
-        self._iteration = 0
+        super().__init__()
 
     def _neighbours(self, name: str) -> List[str]:
         others = [peer for peer in self.trainer_names if peer != name]
         self._rng.shuffle(others)
         return others[: self.fanout]
 
-    def _trainer_proc(self, name: str, iteration: int,
+    def _trainer_proc(self, name: str, index: int, iteration: int,
                       pushes_expected: Dict):
         bus = self.sim.bus
         endpoint = self.transport.endpoint(name)
         model = self.models[name]
-        delta = local_update(
-            model, self.datasets[name], self.config.train,
-            seed=self.config.seed + self.trainer_names.index(name)
-            + 7919 * iteration,
+        # Gossip has no global average to step along a gradient: every
+        # trainer always trains locally and averages parameters.
+        own_params = local_update_vector(
+            model, self.datasets[name], self.config,
+            self.config.seed + index, iteration, update_mode="params",
         )
-        own_params = model.get_params() + delta
         blob = encode_partition(own_params, 1.0)
 
         for peer in self._neighbours(name):
@@ -121,15 +116,7 @@ class GossipFLSession:
                 at=self.sim.now, iteration=iteration, trainer=name,
             ))
 
-    def run_iteration(self) -> Optional[IterationMetrics]:
-        """One gossip round; returns its metrics."""
-        iteration = self._iteration
-        self._iteration += 1
-        bus = self.sim.bus
-        if bus.wants(IterationStarted):
-            bus.publish(IterationStarted(at=self.sim.now,
-                                         iteration=iteration))
-
+    def _round(self, iteration: int):
         # Fix this round's gossip graph up front so receivers know how
         # many pushes to await (avoids modelling timeouts).
         self._rng.seed(self.config.seed + iteration)
@@ -142,33 +129,11 @@ class GossipFLSession:
                 pushes_expected[peer] += 1
         # Re-seed so the processes draw the same neighbour sets.
         self._rng.seed(self.config.seed + iteration)
-
-        def driver():
-            processes = [
-                self.sim.process(
-                    self._trainer_proc(name, iteration, pushes_expected),
-                    name=f"{name}:i{iteration}",
-                )
-                for name in self.trainer_names
-            ]
-            yield self.sim.all_of(processes)
-
-        driver_proc = self.sim.process(driver(), name=f"gossip:{iteration}")
-        self.sim.run_until(driver_proc)
-        if not driver_proc.ok:
-            raise driver_proc.value
-        if bus.wants(IterationFinished):
-            bus.publish(IterationFinished(at=self.sim.now,
-                                          iteration=iteration))
-        if self.metrics.iterations and \
-                self.metrics.iterations[-1].iteration == iteration:
-            return self.metrics.iterations[-1]
-        return None
-
-    def run(self, rounds: int) -> SessionMetrics:
-        for _ in range(rounds):
-            self.run_iteration()
-        return self.metrics
+        return self._run_all(iteration, [
+            (name, self._trainer_proc(name, index, iteration,
+                                      pushes_expected))
+            for index, name in enumerate(self.trainer_names)
+        ])
 
     # -- results --------------------------------------------------------------------
 

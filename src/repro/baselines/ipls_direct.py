@@ -15,15 +15,12 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from ..ml import Dataset, Model, compute_gradient, local_update
+from ..ml import Dataset, Model
 from ..net import Testbed, build_testbed
-from ..obs import TelemetryCollector
 from ..obs.events import (
     BytesReceived,
     GradientRegistered,
     GradientsAggregated,
-    IterationFinished,
-    IterationStarted,
     SyncPhaseEnded,
     TrainerCompleted,
     UpdateRegistered,
@@ -38,7 +35,8 @@ from ..core.partition import (
     encode_partition,
     sum_encoded_partitions,
 )
-from ..core.telemetry import IterationMetrics, SessionMetrics
+from ..core.rounds import RoundSession
+from ..core.trainer import install_update, local_update_vector
 
 __all__ = ["DirectIPLSSession"]
 
@@ -48,8 +46,10 @@ KIND_UPDATE = "ipls.update"
 MESSAGE_OVERHEAD = 128
 
 
-class DirectIPLSSession:
+class DirectIPLSSession(RoundSession):
     """IPLS over direct links, with the same roles and telemetry."""
+
+    driver_prefix = "direct"
 
     def __init__(
         self,
@@ -94,28 +94,18 @@ class DirectIPLSSession:
             name: datasets[index]
             for index, name in enumerate(self.testbed.trainer_names)
         }
-        self.telemetry = TelemetryCollector(self.sim.bus)
-        self.metrics: SessionMetrics = self.telemetry.session
-        self._iteration = 0
+        super().__init__()
 
     # -- participant processes -------------------------------------------------------
 
-    def _trainer_proc(self, name: str, iteration: int):
+    def _trainer_proc(self, name: str, index: int, iteration: int):
         bus = self.sim.bus
         endpoint = self.testbed.transport.endpoint(name)
         model = self.models[name]
         if self.config.local_train_seconds > 0:
             yield self.sim.timeout(self.config.local_train_seconds)
-        if self.config.update_mode == "params":
-            delta = local_update(
-                model, self.datasets[name], self.config.train,
-                seed=self.config.seed
-                + self.testbed.trainer_names.index(name)
-                + 7919 * iteration,
-            )
-            vector = model.get_params() + delta
-        else:
-            vector = compute_gradient(model, self.datasets[name])
+        vector = local_update_vector(model, self.datasets[name], self.config,
+                                     self.config.seed + index, iteration)
         parts = self.partitioner.split(vector)
         send_started = self.sim.now
         sends = []
@@ -147,12 +137,7 @@ class DirectIPLSSession:
         updated = self.partitioner.join(
             [received[i] for i in range(self.partitioner.num_partitions)]
         )
-        if self.config.update_mode == "params":
-            model.set_params(updated)
-        else:
-            model.set_params(
-                model.get_params() - self.config.learning_rate * updated
-            )
+        install_update(model, updated, self.config)
         if bus.wants(TrainerCompleted):
             bus.publish(TrainerCompleted(
                 at=self.sim.now, iteration=iteration, trainer=name,
@@ -241,52 +226,9 @@ class DirectIPLSSession:
 
     # -- driving rounds -----------------------------------------------------------------
 
-    def run_iteration(self) -> Optional[IterationMetrics]:
-        """One direct-IPLS round; returns its metrics."""
-        iteration = self._iteration
-        self._iteration += 1
-        bus = self.sim.bus
-        if bus.wants(IterationStarted):
-            bus.publish(IterationStarted(at=self.sim.now,
-                                         iteration=iteration))
-
-        def driver():
-            processes = [
-                self.sim.process(
-                    self._trainer_proc(name, iteration),
-                    name=f"{name}:i{iteration}",
-                )
-                for name in self.testbed.trainer_names
-            ] + [
-                self.sim.process(
-                    self._aggregator_proc(name, iteration),
-                    name=f"{name}:i{iteration}",
-                )
-                for name in self.testbed.aggregator_names
-            ]
-            yield self.sim.all_of(processes)
-
-        driver_proc = self.sim.process(driver(), name=f"direct:{iteration}")
-        self.sim.run_until(driver_proc)
-        if not driver_proc.ok:
-            raise driver_proc.value
-        if bus.wants(IterationFinished):
-            bus.publish(IterationFinished(at=self.sim.now,
-                                          iteration=iteration))
-        if self.metrics.iterations and \
-                self.metrics.iterations[-1].iteration == iteration:
-            return self.metrics.iterations[-1]
-        return None
-
-    def run(self, rounds: int) -> SessionMetrics:
-        for _ in range(rounds):
-            self.run_iteration()
-        return self.metrics
-
-    def consensus_params(self) -> np.ndarray:
-        reference = self.models[self.testbed.trainer_names[0]].get_params()
-        for name in self.testbed.trainer_names[1:]:
-            if not np.allclose(self.models[name].get_params(), reference,
-                               atol=1e-12):
-                raise AssertionError(f"{name} diverged")
-        return reference
+    def _round(self, iteration: int):
+        return self._run_all(iteration, [
+            (name, self._trainer_proc(name, index, iteration))
+            for index, name in enumerate(self.testbed.trainer_names)
+        ] + [(name, self._aggregator_proc(name, iteration))
+             for name in self.testbed.aggregator_names])

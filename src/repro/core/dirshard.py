@@ -100,16 +100,16 @@ class DirectoryProfile:
     :class:`~repro.faults.RetryPolicy` fail over down the owner list
     when a shard stops answering.
 
-    ``processing_delay`` overrides the network profile's
-    ``directory_processing_delay`` (serialized server seconds per
-    request unit); ``bandwidth_mbps`` constrains each shard's link
-    (default: unconstrained, like the single server's).
+    ``processing_delay`` is the serialized server work per request unit
+    (seconds) on the single server and on every shard;
+    ``bandwidth_mbps`` constrains each shard's link (default:
+    unconstrained, like the single server's).
     """
 
     shards: int = 1
     replication: int = 1
     placement: str = "consistent-hash"
-    processing_delay: Optional[float] = None
+    processing_delay: float = 0.0
     bandwidth_mbps: Optional[float] = None
 
     def __post_init__(self):
@@ -127,7 +127,7 @@ class DirectoryProfile:
                 f"placement must be one of {_PLACEMENTS}, "
                 f"not {self.placement!r}"
             )
-        if self.processing_delay is not None and self.processing_delay < 0:
+        if self.processing_delay < 0:
             raise ValueError("processing_delay must be non-negative")
         if self.bandwidth_mbps is not None and self.bandwidth_mbps <= 0:
             raise ValueError("bandwidth_mbps must be positive")

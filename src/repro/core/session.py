@@ -14,18 +14,12 @@ The deployment shape is described by three composable profiles — a
                         network=NetworkProfile(bandwidth_mbps=20.0),
                         faults=FaultPlan.of(...),
                         directory=DirectoryProfile(shards=4))
-
-The nine legacy network keyword arguments (``num_ipfs_nodes``,
-``bandwidth_mbps``, ...) still work through a deprecation shim.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
 
 from ..faults import FaultInjector, FaultPlan, RetryExhaustedError, \
     RetryPolicy
@@ -33,9 +27,7 @@ from ..ipfs import DHT, IPFSNode, KademliaDHT, PubSub, ReplicationCluster
 from ..ml import Dataset, Model
 from ..net import NetworkProfile, Testbed, add_directory_shards, \
     build_testbed
-from ..obs import TelemetryCollector
-from ..obs.events import IterationFinished, IterationStarted, \
-    ParticipantDegraded
+from ..obs.events import IterationStarted, ParticipantDegraded
 from ..sim import Interrupt, Simulator
 from .adversary import AggregatorBehavior
 from .aggregator import Aggregator
@@ -46,15 +38,15 @@ from .directory import DirectoryService
 from .dirshard import DirectoryProfile, ShardMap, ShardRouter, \
     ShardedDirectory
 from .partition import ModelPartitioner
+from .rounds import RoundSession
 from .schedule import IterationSchedule
-from .telemetry import IterationMetrics, SessionMetrics
 from .trainer import Trainer
 from .verification import PartitionCommitter
 
 __all__ = ["FLSession"]
 
 
-class FLSession:
+class FLSession(RoundSession):
     """A complete decentralized FL deployment in one object."""
 
     def __init__(
@@ -68,7 +60,6 @@ class FLSession:
         behaviors: Optional[Dict[str, AggregatorBehavior]] = None,
         sim: Optional[Simulator] = None,
         cohort: Optional[CohortPlan] = None,
-        **legacy,
     ):
         """
         Parameters
@@ -111,39 +102,9 @@ class FLSession:
             and link load applied in aggregate, no protocol state).  A
             plan whose population equals ``len(datasets)`` is exact mode
             and builds no cohort machinery at all.
-        **legacy:
-            The nine pre-profile network keyword arguments
-            (``num_ipfs_nodes``, ``bandwidth_mbps``, ...), accepted with
-            a :class:`DeprecationWarning`.
         """
         if not datasets:
             raise ValueError("need at least one trainer dataset")
-        if legacy:
-            unknown = set(legacy) - set(NetworkProfile.LEGACY_FIELDS)
-            if unknown:
-                raise TypeError(
-                    "FLSession got unexpected keyword argument(s): "
-                    + ", ".join(sorted(unknown))
-                )
-            if network is not None:
-                raise TypeError(
-                    "pass network=NetworkProfile(...) or the legacy "
-                    "network keyword arguments, not both"
-                )
-            if "directory_processing_delay" in legacy:
-                # The directory knobs moved to their own profile.
-                warnings.warn(
-                    "FLSession's directory_processing_delay keyword is "
-                    "deprecated; pass directory=DirectoryProfile("
-                    "processing_delay=...) instead",
-                    DeprecationWarning, stacklevel=2,
-                )
-            warnings.warn(
-                "FLSession's individual network keyword arguments are "
-                "deprecated; pass network=NetworkProfile(...) instead",
-                DeprecationWarning, stacklevel=2,
-            )
-            network = NetworkProfile(**legacy)
         profile = network if network is not None else NetworkProfile()
         if faults:
             # A chaos run must degrade, not wedge: default the robustness
@@ -224,11 +185,6 @@ class FLSession:
             directory if directory is not None else DirectoryProfile()
         )
         dir_profile = self.directory_profile
-        directory_delay = (
-            dir_profile.processing_delay
-            if dir_profile.processing_delay is not None
-            else profile.directory_processing_delay
-        )
         #: Key placement when sharded; None on the single-server path.
         self._shard_map: Optional[ShardMap] = None
         if dir_profile.shards <= 1:
@@ -244,7 +200,7 @@ class FLSession:
                 verifiable=config.verifiable
                 and config.directory_verification,
                 expected_trainers=num_trainers,
-                processing_delay=directory_delay,
+                processing_delay=dir_profile.processing_delay,
             )
         else:
             shard_names = add_directory_shards(
@@ -263,7 +219,7 @@ class FLSession:
                 verifiable=config.verifiable
                 and config.directory_verification,
                 expected_trainers=num_trainers,
-                processing_delay=directory_delay,
+                processing_delay=dir_profile.processing_delay,
             )
             self._shard_map = ShardMap(
                 shard_names,
@@ -379,13 +335,7 @@ class FLSession:
                     ),
                 ))
 
-        #: Telemetry is an ordinary bus subscriber: the protocol publishes
-        #: events and this collector folds them into the paper's metrics.
-        #: Close it (``session.telemetry.close()``) for an unobserved run.
-        self.telemetry = TelemetryCollector(self.sim.bus)
-        self.metrics: SessionMetrics = self.telemetry.session
-        self._iteration = 0
-
+        super().__init__()
         #: participant name -> its supervised process for the current
         #: round (the handle the fault injector interrupts).
         self._round_processes: Dict[str, object] = {}
@@ -396,15 +346,7 @@ class FLSession:
 
     # -- driving rounds ---------------------------------------------------------
 
-    def run_iteration(self) -> Optional[IterationMetrics]:
-        """Execute one full training round.
-
-        Returns the round's metrics, assembled by :attr:`telemetry` from
-        the events the participants published — or None when telemetry
-        has been closed (an unobserved run).
-        """
-        iteration = self._iteration
-        self._iteration += 1
+    def _start_round(self, iteration: int) -> IterationSchedule:
         schedule = IterationSchedule.from_durations(
             iteration, self.sim.now, self.config.t_train, self.config.t_sync
         )
@@ -417,49 +359,31 @@ class FLSession:
         # Arm the directory's gradient-registration cutoff so late
         # registrations can never enter the accumulated commitments.
         self.directory.begin_iteration(iteration, schedule.t_train)
+        return schedule
 
-        def driver():
-            participants = (
-                [t.name for t in self.trainers]
-                + [a.name for a in self.aggregators]
-                + [c.name for c in self.cohorts]
-            )
-            yield self.bootstrapper.announce(schedule, participants)
-            self._round_processes = {}
-            processes = []
-            for role, members in (("trainer", self.trainers),
-                                  ("aggregator", self.aggregators)):
-                for participant in members:
-                    process = self._spawn_participant(
-                        participant, role, schedule
-                    )
-                    if process is not None:
-                        processes.append(process)
-            for coordinator in self.cohorts:
-                processes.append(self.sim.process(
-                    coordinator.run_iteration(schedule),
-                    name=f"{coordinator.name}:i{iteration}",
-                ))
-            if processes:
-                yield self.sim.all_of(processes)
-
-        driver_proc = self.sim.process(driver(), name=f"round:{iteration}")
-        self.sim.run_until(driver_proc)
-        if not driver_proc.ok:
-            raise driver_proc.value
-        if bus.wants(IterationFinished):
-            bus.publish(IterationFinished(at=self.sim.now,
-                                          iteration=iteration))
-        if self.metrics.iterations and \
-                self.metrics.iterations[-1].iteration == iteration:
-            return self.metrics.iterations[-1]
-        return None
-
-    def run(self, rounds: int) -> SessionMetrics:
-        """Run ``rounds`` iterations back to back."""
-        for _ in range(rounds):
-            self.run_iteration()
-        return self.metrics
+    def _round(self, schedule: IterationSchedule):
+        participants = (
+            [t.name for t in self.trainers]
+            + [a.name for a in self.aggregators]
+            + [c.name for c in self.cohorts]
+        )
+        yield self.bootstrapper.announce(schedule, participants)
+        self._round_processes = {}
+        processes = []
+        for role, members in (("trainer", self.trainers),
+                              ("aggregator", self.aggregators)):
+            for participant in members:
+                process = self._spawn_participant(participant, role,
+                                                  schedule)
+                if process is not None:
+                    processes.append(process)
+        for coordinator in self.cohorts:
+            processes.append(self.sim.process(
+                coordinator.run_iteration(schedule),
+                name=f"{coordinator.name}:i{schedule.iteration}",
+            ))
+        if processes:
+            yield self.sim.all_of(processes)
 
     # -- supervision (fault tolerance) -----------------------------------------
 
@@ -600,17 +524,11 @@ class FLSession:
 
     # -- results ------------------------------------------------------------------
 
+    @property
+    def models(self) -> Dict[str, Model]:
+        """Trainer name -> its current model."""
+        return {trainer.name: trainer.model for trainer in self.trainers}
+
     def model_of(self, index: int = 0) -> Model:
         """The current model of trainer ``index``."""
         return self.trainers[index].model
-
-    def consensus_params(self) -> np.ndarray:
-        """The shared model parameters, asserting all trainers agree."""
-        reference = self.trainers[0].model.get_params()
-        for trainer in self.trainers[1:]:
-            if not np.allclose(trainer.model.get_params(), reference,
-                               atol=1e-12):
-                raise AssertionError(
-                    f"trainer {trainer.name} diverged from trainer 0"
-                )
-        return reference

@@ -42,7 +42,40 @@ from .partition import ModelPartitioner, decode_partition, encode_partition
 from .schedule import IterationSchedule
 from .verification import CommitmentCostModel, PartitionCommitter
 
-__all__ = ["Trainer"]
+__all__ = ["Trainer", "install_update", "local_update_vector"]
+
+
+def local_update_vector(model: Model, dataset: Dataset,
+                        config: ProtocolConfig, seed: int, iteration: int,
+                        update_mode: Optional[str] = None) -> np.ndarray:
+    """The flat vector a trainer uploads for ``iteration``.
+
+    The one local-update rule: :class:`Trainer` and every baseline's
+    trainers apply it, so all architectures compute the same model from
+    the same seeds.
+
+    ``"params"`` mode trains locally and returns the new parameters;
+    ``"gradient"`` mode returns the local gradient.  ``seed`` is the
+    trainer's own seed (the config seed plus its index); each round
+    trains from a fresh seed derived from it.  ``update_mode`` overrides
+    ``config.update_mode``.
+    """
+    if (update_mode or config.update_mode) == "params":
+        delta = local_update(model, dataset, config.train,
+                             seed=seed + 7919 * iteration)
+        return model.get_params() + delta
+    return compute_gradient(model, dataset)
+
+
+def install_update(model: Model, averaged: np.ndarray,
+                   config: ProtocolConfig) -> None:
+    """Install the round's averaged vector into ``model``."""
+    if config.update_mode == "params":
+        model.set_params(averaged)
+    else:
+        model.set_params(
+            model.get_params() - config.learning_rate * averaged
+        )
 
 
 class Trainer:
@@ -133,18 +166,13 @@ class Trainer:
     # -- local learning -----------------------------------------------------------
 
     def _compute_update_vector(self, iteration: int) -> np.ndarray:
-        """The flat vector to upload, per the configured update mode."""
+        """The flat vector to upload, attributed to ``ml.train``."""
         profiler = self.sim.profiler
         frame = (profiler.begin("ml", "train", "trainer")
                  if profiler is not None else None)
         try:
-            if self.config.update_mode == "params":
-                delta = local_update(
-                    self.model, self.dataset, self.config.train,
-                    seed=self.seed + 7919 * iteration,
-                )
-                return self.model.get_params() + delta
-            return compute_gradient(self.model, self.dataset)
+            return local_update_vector(self.model, self.dataset,
+                                       self.config, self.seed, iteration)
         finally:
             if frame is not None:
                 profiler.end(frame)
@@ -171,15 +199,6 @@ class Trainer:
         if delay > 0:
             yield self.sim.timeout(delay)
         return committer.verify_blob(blob, expected)
-
-    def _install_update(self, averaged: np.ndarray) -> None:
-        if self.config.update_mode == "params":
-            self.model.set_params(averaged)
-        else:
-            self.model.set_params(
-                self.model.get_params()
-                - self.config.learning_rate * averaged
-            )
 
     # -- the per-iteration process ------------------------------------------------------
 
@@ -354,7 +373,8 @@ class Trainer:
                 return
             updated_parts.append(values / counter)
 
-        self._install_update(self.partitioner.join(updated_parts))
+        install_update(self.model, self.partitioner.join(updated_parts),
+                       self.config)
         self.completed_iterations += 1
         if bus.wants(TrainerCompleted):
             bus.publish(TrainerCompleted(

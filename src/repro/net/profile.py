@@ -1,8 +1,7 @@
 """Composable network/infrastructure profile for sessions.
 
-:class:`NetworkProfile` bundles what used to be nine loose
-``FLSession.__init__`` keyword arguments — the shape and quality of the
-emulated infrastructure — into one reusable, comparable value::
+:class:`NetworkProfile` bundles the shape and quality of the emulated
+infrastructure into one reusable, comparable value::
 
     from repro import FLSession, NetworkProfile
 
@@ -17,7 +16,7 @@ plan has browned out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..faults.retry import RetryPolicy
@@ -28,10 +27,9 @@ __all__ = ["NetworkProfile"]
 @dataclass(frozen=True)
 class NetworkProfile:
     """The infrastructure half of a session: topology, bandwidth, DHT,
-    directory behaviour, replication, and retry/timeout policy.
+    replication, and retry/timeout policy.
 
-    All defaults match the historical ``FLSession.__init__`` defaults,
-    so ``NetworkProfile()`` reproduces the legacy testbed exactly.
+    ``NetworkProfile()`` is the historical testbed.
     """
 
     #: Storage nodes in the deployment.
@@ -48,8 +46,6 @@ class NetworkProfile:
     dht_lookup_delay: float = 0.02
     #: "table" (flat provider table) or "kademlia" (routed lookups).
     dht_mode: str = "table"
-    #: Serialized directory server work per request (seconds).
-    directory_processing_delay: float = 0.0
     #: Rendezvous replication factor (None = no replication cluster).
     replication_factor: Optional[int] = None
 
@@ -86,9 +82,6 @@ class NetworkProfile:
             raise ValueError("dht_lookup_delay must be non-negative")
         if self.dht_mode not in ("table", "kademlia"):
             raise ValueError("dht_mode must be 'table' or 'kademlia'")
-        if self.directory_processing_delay < 0:
-            raise ValueError("directory_processing_delay must be "
-                             "non-negative")
         if self.replication_factor is not None \
                 and self.replication_factor < 1:
             raise ValueError("replication_factor must be >= 1")
@@ -97,21 +90,3 @@ class NetworkProfile:
             raise ValueError("directory_request_timeout must be positive")
         if self.ipfs_request_timeout <= 0:
             raise ValueError("ipfs_request_timeout must be positive")
-
-    #: The nine field names that used to be FLSession kwargs; the
-    #: session's ``**legacy`` shim accepts exactly these.
-    LEGACY_FIELDS = (
-        "num_ipfs_nodes",
-        "bandwidth_mbps",
-        "aggregator_bandwidth_mbps",
-        "trainer_bandwidths_mbps",
-        "latency",
-        "dht_lookup_delay",
-        "dht_mode",
-        "directory_processing_delay",
-        "replication_factor",
-    )
-
-    @classmethod
-    def field_names(cls) -> Tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))

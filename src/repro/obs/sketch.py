@@ -31,12 +31,13 @@ bucket map, so the sketch accepts any float the histograms can see.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "QuantileSketch",
     "DEFAULT_EXACT_THRESHOLD",
     "DEFAULT_RELATIVE_ERROR",
+    "interpolated_percentile",
 ]
 
 #: Observations retained verbatim before spilling to buckets.  4096
@@ -56,6 +57,25 @@ DEFAULT_RELATIVE_ERROR = 0.01
 _BYTES_PER_EXACT_VALUE = 32
 _BYTES_PER_BUCKET = 64
 _FIXED_OVERHEAD = 256
+
+
+def interpolated_percentile(ordered: Sequence[float], q: float) -> float:
+    """The q-th percentile (0..100) of a sorted, non-empty sequence by
+    linear interpolation between its two neighbouring values.
+
+    The result never leaves ``[ordered[0], ordered[-1]]``: equal
+    neighbours return their value as is, and an interpolated value is
+    clamped between its neighbours, since ``a * (1 - w) + b * w`` can
+    round outside ``[a, b]`` (two subnormal ``a == b`` even underflow
+    to 0.0).
+    """
+    position = (len(ordered) - 1) * q / 100.0
+    low = ordered[math.floor(position)]
+    high = ordered[math.ceil(position)]
+    if low == high:
+        return float(low)
+    weight = position - math.floor(position)
+    return float(min(max(low * (1 - weight) + high * weight, low), high))
 
 
 class QuantileSketch:
@@ -176,22 +196,11 @@ class QuantileSketch:
         return self._sketch_percentile(q)
 
     def _exact_percentile(self, q: float) -> float:
-        # Same interpolation as repro.analysis.stats.percentile, on a
-        # cached sorted view so exposition passes don't re-sort — the
-        # float-equality golden test pins the equivalence.
+        # The interpolation repro.analysis.stats.percentile uses, on a
+        # cached sorted view so exposition passes don't re-sort.
         if not self._sorted:
             self._sorted = sorted(self._exact)
-        ordered = self._sorted
-        if len(ordered) == 1:
-            return float(ordered[0])
-        position = (len(ordered) - 1) * q / 100.0
-        lower = math.floor(position)
-        upper = math.ceil(position)
-        if lower == upper:
-            return float(ordered[lower])
-        weight = position - lower
-        return float(ordered[lower] * (1 - weight)
-                     + ordered[upper] * weight)
+        return interpolated_percentile(self._sorted, q)
 
     def _sketch_percentile(self, q: float) -> float:
         # Walk buckets in value order (most-negative first) until the

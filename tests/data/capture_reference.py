@@ -14,7 +14,8 @@ import json
 import os
 import sys
 
-from repro.baselines import DirectIPLSSession
+from repro.baselines import (BlockchainFLSession, CentralizedSession,
+                             DirectIPLSSession, GossipFLSession)
 from repro import FLSession, NetworkProfile, ProtocolConfig
 from repro.ml import (LogisticRegression, SyntheticModel,
                       make_classification, split_iid)
@@ -108,12 +109,56 @@ def direct_baseline():
     return snapshot(session.run_iteration())
 
 
+def baseline_ml(session_cls, update_mode, **options):
+    """Two real-ML rounds of one baseline.
+
+    Pins each round's metrics and the final model, so a change to the
+    shared round driver or the local-update rule (seed, params vs
+    gradient, installing the average) shows up as a diff.
+    ``local_train_seconds`` is set so that baselines which model local
+    compute time (and BCFL, which does not) are told apart.
+    """
+    data = make_classification(num_samples=160, num_features=8,
+                               class_separation=3.0, seed=0)
+    shards = split_iid(data, 4, seed=0)
+    config = ProtocolConfig(num_partitions=2, t_train=300.0, t_sync=600.0,
+                            update_mode=update_mode, learning_rate=0.3,
+                            local_train_seconds=1.5)
+    session = session_cls(config,
+                          lambda: LogisticRegression(num_features=8, seed=0),
+                          shards, **options)
+    session.run(rounds=2)
+    if isinstance(session, GossipFLSession):
+        params = session.mean_params()  # gossip reaches no consensus
+    else:
+        params = session.consensus_params()
+    return {
+        "rounds": [snapshot(m) for m in session.metrics.iterations],
+        "params": [float(value) for value in params],
+    }
+
+
+def centralized_baseline():
+    return baseline_ml(CentralizedSession, "params")
+
+
+def gossip_baseline():
+    return baseline_ml(GossipFLSession, "gradient", fanout=2, seed=1)
+
+
+def bcfl_baseline():
+    return baseline_ml(BlockchainFLSession, "gradient", num_miners=2)
+
+
 def main():
     reference = {
         "fig1_like": {str(p): fig1_like(p) for p in (1, 4)},
         "fig2_like": {str(a): fig2_like(a) for a in (1, 2)},
         "verifiable": verifiable_run(),
         "direct_baseline": direct_baseline(),
+        "centralized_baseline": centralized_baseline(),
+        "gossip_baseline": gossip_baseline(),
+        "bcfl_baseline": bcfl_baseline(),
     }
     with open(OUT, "w") as handle:
         json.dump(reference, handle, indent=2, sort_keys=True)

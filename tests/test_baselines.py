@@ -14,6 +14,7 @@ from repro.baselines import (
 from repro.baselines.blockchain import GENESIS, blob_hash
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
+from repro.net import NetworkProfile
 
 
 def make_shards(num_trainers=4, seed=0):
@@ -59,7 +60,8 @@ def test_direct_ipls_faster_than_indirect_naive():
     direct = DirectIPLSSession(config(), factory, shards,
                                bandwidth_mbps=10.0)
     indirect = FLSession(config(merge_and_download=False), factory, shards,
-                         num_ipfs_nodes=8, bandwidth_mbps=10.0)
+                         network=NetworkProfile(num_ipfs_nodes=8,
+                                                bandwidth_mbps=10.0))
     direct_metrics = direct.run_iteration()
     indirect_metrics = indirect.run_iteration()
     assert (direct_metrics.total_aggregation_delay
@@ -173,7 +175,8 @@ def test_bcfl_moves_more_bytes_than_decentralized():
         return LogisticRegression(num_features=200, num_classes=2, seed=0)
 
     bcfl = BlockchainFLSession(config(), big_factory, shards, num_miners=4)
-    ours = FLSession(config(), big_factory, shards, num_ipfs_nodes=4)
+    ours = FLSession(config(), big_factory, shards,
+                     network=NetworkProfile(num_ipfs_nodes=4))
     bcfl_metrics = bcfl.run_iteration()
     ours_metrics = ours.run_iteration()
     bcfl_bytes = sum(bcfl_metrics.bytes_received.values())
@@ -205,7 +208,8 @@ def test_all_architectures_compute_identical_model():
     the paper's convergence-equivalence claim."""
     shards = make_shards(num_trainers=4, seed=9)
     cfg = config()
-    ours = FLSession(cfg, factory, shards, num_ipfs_nodes=4)
+    ours = FLSession(cfg, factory, shards,
+                     network=NetworkProfile(num_ipfs_nodes=4))
     direct = DirectIPLSSession(cfg, factory, shards)
     central = CentralizedSession(cfg, factory, shards)
     bcfl = BlockchainFLSession(cfg, factory, shards, num_miners=2)

@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.core import Address, FLSession, GRADIENT, ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
+from repro.net import NetworkProfile
 
 from tests.test_core_directory import make_world, run
 
@@ -70,11 +71,13 @@ def test_straddling_upload_does_not_break_verification():
     session = FLSession(
         config,
         lambda: LogisticRegression(num_features=8, seed=0),
-        shards, num_ipfs_nodes=4,
-        bandwidth_mbps=10.0,
-        # trainer-0's ~1.6 kB of partition uploads take >2.5 s at 4 kbps,
-        # straddling the 1 s deadline.
-        trainer_bandwidths_mbps=[0.004, 10.0, 10.0, 10.0],
+        shards,
+        network=NetworkProfile(
+            num_ipfs_nodes=4, bandwidth_mbps=10.0,
+            # trainer-0's ~1.6 kB of partition uploads take >2.5 s at
+            # 4 kbps, straddling the 1 s deadline.
+            trainer_bandwidths_mbps=[0.004, 10.0, 10.0, 10.0],
+        ),
     )
     metrics = session.run_iteration()
     completed = set(metrics.trainers_completed)
@@ -96,9 +99,11 @@ def test_straddling_upload_batch_registration():
     session = FLSession(
         config,
         lambda: LogisticRegression(num_features=8, seed=0),
-        shards, num_ipfs_nodes=4,
-        bandwidth_mbps=10.0,
-        trainer_bandwidths_mbps=[0.004, 10.0, 10.0, 10.0],
+        shards,
+        network=NetworkProfile(
+            num_ipfs_nodes=4, bandwidth_mbps=10.0,
+            trainer_bandwidths_mbps=[0.004, 10.0, 10.0, 10.0],
+        ),
     )
     metrics = session.run_iteration()
     assert "trainer-0" not in metrics.trainers_completed

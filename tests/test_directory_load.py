@@ -2,11 +2,17 @@
 
 import pytest
 
-from repro.core import Address, FLSession, GRADIENT, ProtocolConfig
+from repro.core import (
+    Address,
+    DirectoryProfile,
+    FLSession,
+    GRADIENT,
+    ProtocolConfig,
+)
 from repro.core.directory import DirectoryClient, DirectoryService
 from repro.ipfs import DHT, IPFSNode
 from repro.ml import LogisticRegression, make_classification, split_iid
-from repro.net import Network, Transport, mbps
+from repro.net import Network, NetworkProfile, Transport, mbps
 from repro.sim import Simulator
 
 from tests.test_core_directory import make_world, run
@@ -80,8 +86,9 @@ def test_session_with_loaded_directory_still_completes():
     session = FLSession(
         ProtocolConfig(num_partitions=2, t_train=300, t_sync=600),
         lambda: LogisticRegression(num_features=8, seed=0),
-        shards, num_ipfs_nodes=4,
-        directory_processing_delay=0.05,
+        shards,
+        network=NetworkProfile(num_ipfs_nodes=4),
+        directory=DirectoryProfile(processing_delay=0.05),
     )
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == 4
@@ -89,7 +96,7 @@ def test_session_with_loaded_directory_still_completes():
     fast = FLSession(
         ProtocolConfig(num_partitions=2, t_train=300, t_sync=600),
         lambda: LogisticRegression(num_features=8, seed=0),
-        shards, num_ipfs_nodes=4,
+        shards, network=NetworkProfile(num_ipfs_nodes=4),
     )
     fast_metrics = fast.run_iteration()
     assert metrics.end_to_end_delay > fast_metrics.end_to_end_delay

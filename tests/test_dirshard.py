@@ -4,11 +4,9 @@ Covers the DirectoryProfile surface, key placement, the shards=1
 identity guarantee (fingerprint- and counter-identical to the classic
 single server), load distribution and the ``dir.shard.*`` counters,
 the shard-order merge of the commitment accumulators, failover across
-replicas, shard-targeted brownouts, the deprecation shim, and the
-registrations/sec trajectory the sharding exists to improve.
+replicas, shard-targeted brownouts, the directory delay knob, and
+the registrations/sec trajectory the sharding exists to improve.
 """
-
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -319,26 +317,19 @@ def test_cohort_load_fans_out_across_shards():
     assert directory.register_count > NUM_TRAINERS * 2
 
 
-# -- deprecation shim -------------------------------------------------------------
-
-
-def test_legacy_directory_kwarg_warns_and_still_works():
-    with pytest.warns(DeprecationWarning,
-                      match="directory_processing_delay"):
-        session = FLSession(
-            make_config(), model_factory, make_shards(),
-            num_ipfs_nodes=4, bandwidth_mbps=10.0,
-            directory_processing_delay=0.001,
-        )
-    assert session.directory.processing_delay == 0.001
+# -- the directory delay knob -----------------------------------------------------
 
 
 def test_profile_overrides_the_network_processing_delay():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        session = make_session(
-            directory=DirectoryProfile(shards=2, processing_delay=0.002),
-        )
+    """``DirectoryProfile.processing_delay`` is the only directory-delay
+    knob: it reaches the single server and every shard alike."""
+    single = make_session(
+        directory=DirectoryProfile(processing_delay=0.001),
+    )
+    assert single.directory.processing_delay == 0.001
+    session = make_session(
+        directory=DirectoryProfile(shards=2, processing_delay=0.002),
+    )
     for name in session.directory.shard_names:
         assert session.directory.shard(name).processing_delay == 0.002
 

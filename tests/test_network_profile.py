@@ -1,7 +1,5 @@
-"""The NetworkProfile API redesign: the composable profile, the legacy
-keyword-argument shim, and the curated top-level ``repro`` surface."""
-
-import warnings
+"""The NetworkProfile API: the composable profile, its fault-plan
+defaults, and the curated top-level ``repro`` surface."""
 
 import pytest
 
@@ -52,7 +50,6 @@ def test_default_profile_matches_legacy_defaults():
     {"latency": -0.1},
     {"dht_lookup_delay": -0.1},
     {"dht_mode": "gossip"},
-    {"directory_processing_delay": -1.0},
     {"replication_factor": 0},
     {"directory_request_timeout": 0.0},
     {"ipfs_request_timeout": 0.0},
@@ -62,24 +59,7 @@ def test_profile_rejects_invalid_values(kwargs):
         NetworkProfile(**kwargs)
 
 
-# -- the legacy shim --------------------------------------------------------------
-
-
-def test_legacy_kwargs_warn_and_build_identical_testbed():
-    shards = make_shards()
-    with pytest.warns(DeprecationWarning, match="NetworkProfile"):
-        legacy = FLSession(config(), factory, shards,
-                           num_ipfs_nodes=4, bandwidth_mbps=12.0,
-                           latency=0.01, replication_factor=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the new path must not warn
-        modern = FLSession(
-            config(), factory, shards,
-            network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=12.0,
-                                   latency=0.01, replication_factor=2),
-        )
-    assert legacy.fingerprint() == modern.fingerprint()
-    assert legacy.network_profile == modern.network_profile
+# -- session construction ---------------------------------------------------------
 
 
 def test_new_path_defaults_match_no_arguments_at_all():
@@ -93,12 +73,6 @@ def test_new_path_defaults_match_no_arguments_at_all():
 def test_unknown_kwarg_raises_type_error():
     with pytest.raises(TypeError, match="unexpected keyword"):
         FLSession(config(), factory, make_shards(), bandwith_mbps=10.0)
-
-
-def test_network_plus_legacy_kwargs_raises_type_error():
-    with pytest.raises(TypeError, match="not both"):
-        FLSession(config(), factory, make_shards(),
-                  network=NetworkProfile(), num_ipfs_nodes=4)
 
 
 # -- fault-plan robustness defaults ------------------------------------------------

@@ -77,3 +77,16 @@ def test_verifiable_run_matches_legacy():
 def test_direct_baseline_matches_legacy():
     assert_snapshot_equal(capture.direct_baseline(),
                           reference["direct_baseline"], "direct_baseline")
+
+
+@pytest.mark.parametrize("name", ["centralized_baseline", "gossip_baseline",
+                                  "bcfl_baseline"])
+def test_ml_baseline_matches_legacy(name):
+    actual = getattr(capture, name)()
+    expected = reference[name]
+    assert len(actual["rounds"]) == len(expected["rounds"])
+    for index, (have, want) in enumerate(zip(actual["rounds"],
+                                             expected["rounds"])):
+        assert_snapshot_equal(have, want, f"{name}[round {index}]")
+    assert actual["params"] == pytest.approx(expected["params"], rel=1e-9,
+                                             abs=1e-12)

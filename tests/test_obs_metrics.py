@@ -11,7 +11,7 @@ from repro.analysis.stats import percentile
 from repro.cli import main
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import Dataset, SyntheticModel
-from repro.net import TransferTrace
+from repro.net import NetworkProfile, TransferTrace
 from repro.obs import (
     CountersRegistry,
     EventBus,
@@ -232,8 +232,8 @@ def small_session(bandwidth_mbps=10.0, num_trainers=4, seed=0):
         config,
         model_factory=lambda: SyntheticModel(20_000),
         datasets=shards,
-        num_ipfs_nodes=4,
-        bandwidth_mbps=bandwidth_mbps,
+        network=NetworkProfile(num_ipfs_nodes=4,
+                               bandwidth_mbps=bandwidth_mbps),
     )
 
 
@@ -287,8 +287,7 @@ def fig1_session():
         config,
         model_factory=lambda: SyntheticModel(FIG1_PARTITION_PARAMS),
         datasets=shards,
-        num_ipfs_nodes=8,
-        bandwidth_mbps=10.0,
+        network=NetworkProfile(num_ipfs_nodes=8, bandwidth_mbps=10.0),
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
+from repro.net import NetworkProfile
 from repro.obs import EventBus, InvariantMonitors, InvariantViolated
 from repro.obs.events import (
     BlockEvicted,
@@ -34,7 +35,7 @@ def make_session(**overrides):
     return FLSession(
         config,
         lambda: LogisticRegression(num_features=8, num_classes=2, seed=0),
-        shards, num_ipfs_nodes=4, bandwidth_mbps=10.0,
+        shards, network=NetworkProfile(num_ipfs_nodes=4, bandwidth_mbps=10.0),
     )
 
 

@@ -29,6 +29,13 @@ def test_exact_mode_percentiles_are_float_equal_to_the_golden():
         assert sketch.percentile(q) == percentile(values, q)
 
 
+def test_exact_mode_percentile_stays_within_equal_subnormals():
+    sketch = QuantileSketch(max_exact=16)
+    sketch.add(5e-324)
+    sketch.add(5e-324)
+    assert sketch.percentile(50.0) == 5e-324
+
+
 def test_exact_mode_accounting_and_values():
     sketch = QuantileSketch(max_exact=16)
     for value in (3.0, 1.0, 2.0):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core import FLSession, ProtocolConfig, decode_partition
 from repro.ipfs import compute_cid
 from repro.ml import LogisticRegression, make_classification, split_iid
+from repro.net import NetworkProfile
 from repro.net.bandwidth import Flow, FlowScheduler, Link, max_min_rates
 from repro.sim import Simulator
 
@@ -201,7 +202,7 @@ def test_protocol_invariants_grid(num_partitions,
         config,
         lambda: LogisticRegression(num_features=9, num_classes=2, seed=0),
         shards,
-        num_ipfs_nodes=4,
+        network=NetworkProfile(num_ipfs_nodes=4),
     )
     metrics = session.run_iteration()
     assert len(metrics.trainers_completed) == num_trainers

@@ -15,6 +15,7 @@ from repro.ml import (
     split_dirichlet,
     train_test_split,
 )
+from repro.net import NetworkProfile
 
 ROUNDS = 6
 
@@ -42,9 +43,8 @@ def test_everything_on_for_many_rounds():
         config,
         lambda: LogisticRegression(num_features=12, num_classes=3, seed=0),
         shards,
-        num_ipfs_nodes=4,
-        dht_mode="kademlia",
-        replication_factor=2,
+        network=NetworkProfile(num_ipfs_nodes=4, dht_mode="kademlia",
+                               replication_factor=2),
     )
     storage_after_gc = []
     for _ in range(ROUNDS):

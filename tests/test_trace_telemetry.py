@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import FLSession, ProtocolConfig
 from repro.ml import LogisticRegression, make_classification, split_iid
-from repro.net import Network, TransferTrace, mbps
+from repro.net import Network, NetworkProfile, TransferTrace, mbps
 from repro.sim import Simulator
 
 
@@ -93,7 +93,7 @@ def test_trace_on_full_session():
     session = FLSession(
         ProtocolConfig(num_partitions=2, t_train=300, t_sync=600),
         lambda: LogisticRegression(num_features=8, seed=0),
-        shards, num_ipfs_nodes=4,
+        shards, network=NetworkProfile(num_ipfs_nodes=4),
     )
     trace = TransferTrace(session.testbed.network)
     session.run_iteration()
@@ -120,7 +120,7 @@ def run_small_session(rounds=2, **config_overrides):
     session = FLSession(
         ProtocolConfig(**defaults),
         lambda: LogisticRegression(num_features=8, seed=0),
-        shards, num_ipfs_nodes=4,
+        shards, network=NetworkProfile(num_ipfs_nodes=4),
     )
     session.run(rounds=rounds)
     return session
