@@ -5,10 +5,13 @@ Three runs on the same deployment:
 - ``plain``: a 20k-parameter model without verifiability,
 - ``verifiable``: the same with real Pedersen commitments end to end
   (commit at trainers, accumulate at the directory, verify the update),
-- ``verifiable + cost model``: additionally charging the measured Fig. 3
-  slope (~120 us/param in pure Python) inside the *simulated* clock, so
-  the iteration timeline shows commitment computation overtaking
-  communication — the paper's bottleneck finding.
+- ``verifiable + cost model``: additionally charging a Fig. 3 slope
+  inside the *simulated* clock, so the iteration timeline shows
+  commitment computation overtaking communication — the paper's
+  bottleneck finding.  ``FIG3_SLOPE_S_PER_PARAM`` keeps the slope the
+  uncentred 256-bit Pippenger measured (120 us/param) as the simulated
+  charge, so this figure's simulated output does not move when the
+  host-side multi-exponentiation gets faster.
 """
 
 from _helpers import dummy_datasets, save_table

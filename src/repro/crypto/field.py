@@ -7,7 +7,10 @@ Legendre symbol and modular square roots (Tonelli–Shanks, with the fast
 
 from __future__ import annotations
 
-__all__ = ["inverse_mod", "legendre_symbol", "sqrt_mod", "is_quadratic_residue"]
+from typing import Optional
+
+__all__ = ["inverse_mod", "legendre_symbol", "sqrt_mod", "try_sqrt_mod",
+           "is_quadratic_residue"]
 
 
 def inverse_mod(value: int, modulus: int) -> int:
@@ -42,13 +45,28 @@ def sqrt_mod(value: int, prime: int) -> int:
     specific parity, e.g. point decompression, adjust themselves).
     Raises ``ValueError`` if ``value`` is a non-residue.
     """
+    root = try_sqrt_mod(value, prime)
+    if root is None:
+        raise ValueError(f"{value} is not a quadratic residue mod {prime}")
+    return root
+
+
+def try_sqrt_mod(value: int, prime: int) -> Optional[int]:
+    """A square root of ``value`` modulo an odd prime, or None for a
+    non-residue.
+
+    For ``p ≡ 3 (mod 4)`` (both secp curves) this is one ``pow``: the
+    candidate ``value^((p+1)/4)`` is a root iff it squares back to
+    ``value``, so no separate Legendre test is needed.
+    """
     value %= prime
     if value == 0:
         return 0
-    if legendre_symbol(value, prime) != 1:
-        raise ValueError(f"{value} is not a quadratic residue mod {prime}")
     if prime % 4 == 3:
-        return pow(value, (prime + 1) // 4, prime)
+        root = pow(value, (prime + 1) // 4, prime)
+        return root if root * root % prime == value else None
+    if legendre_symbol(value, prime) != 1:
+        return None
     # Tonelli–Shanks for p ≡ 1 (mod 4).
     q, s = prime - 1, 0
     while q % 2 == 0:

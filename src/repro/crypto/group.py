@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .curves import CurveParams
-from .field import inverse_mod, sqrt_mod
+from .field import inverse_mod, try_sqrt_mod
 
 __all__ = ["Point", "generator", "wnaf", "scalar_mult"]
 
@@ -90,7 +90,9 @@ class Point:
         if x >= curve.p:
             raise ValueError("x coordinate out of range")
         rhs = (x * x * x + curve.a * x + curve.b) % curve.p
-        y = sqrt_mod(rhs, curve.p)
+        y = try_sqrt_mod(rhs, curve.p)
+        if y is None:
+            raise ValueError("x coordinate is not on the curve")
         if (y & 1) != (data[0] & 1):
             y = curve.p - y
         return cls(curve, x, y)
@@ -251,6 +253,9 @@ def scalar_mult(scalar: int, point: Point, width: int = 5) -> Point:
     scalar %= curve.n
     if scalar == 0 or point.is_identity:
         return Point.identity(curve)
+    if scalar > curve.n >> 1:
+        # s·P = -((n - s)·P): the centred scalar has the shorter wNAF.
+        return -scalar_mult(curve.n - scalar, point, width)
 
     # Precompute P, 3P, 5P, ..., (2^(w-1)-1)P in Jacobian form.
     precomp: List[Jacobian] = [point.to_jacobian()]

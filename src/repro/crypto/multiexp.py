@@ -10,11 +10,21 @@ measures in Fig. 3, and the paper names multi-exponentiation algorithms
   thousands-to-millions of terms a model-sized commitment needs,
 
 plus an auto-dispatching :func:`multi_scalar_mult`.
+
+Both first lift every scalar to its centred representative in
+``(-n/2, n/2)``: a term ``s·P`` with ``s > n/2`` becomes ``(n - s)·(-P)``,
+which is exact because ``n·P`` is the identity, and negating an affine
+point only flips ``y``.  Gradients reach the commitment through
+:class:`~repro.crypto.encoding.FixedPointCodec`, which embeds a negative
+coordinate as ``n - |x|``: about half the scalars of a commitment are
+256-bit numbers whose centred magnitude is a few fractional bits plus
+the gradient's integer part, ~20 bits.  The doubling chain, and
+Pippenger's window count, follow the largest centred magnitude.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from .curves import CurveParams
 from .group import (
@@ -43,6 +53,23 @@ def _validate(scalars: Sequence[int], points: Sequence[Point]) -> CurveParams:
     return curve
 
 
+def _centred_terms(scalars: Sequence[int], points: Sequence[Point],
+                   curve: CurveParams) -> List[Tuple[int, Point]]:
+    """The nonzero terms as ``(|s|, ±P)`` with ``|s| <= n/2``."""
+    order = curve.n
+    half = order >> 1
+    terms = []
+    for scalar, point in zip(scalars, points):
+        scalar %= order
+        if scalar == 0 or point.is_identity:
+            continue
+        if scalar > half:
+            terms.append((order - scalar, -point))
+        else:
+            terms.append((scalar, point))
+    return terms
+
+
 def straus(scalars: Sequence[int], points: Sequence[Point],
            width: int = 4) -> Point:
     """Interleaved wNAF: shared doublings across all terms.
@@ -51,15 +78,10 @@ def straus(scalars: Sequence[int], points: Sequence[Point],
     handful of accumulated commitments.
     """
     curve = _validate(scalars, points)
-    reduced = [s % curve.n for s in scalars]
 
     precomp: List[List] = []
     naf_digits: List[List[int]] = []
-    for scalar, point in zip(reduced, points):
-        if scalar == 0 or point.is_identity:
-            precomp.append([])
-            naf_digits.append([])
-            continue
+    for scalar, point in _centred_terms(scalars, points, curve):
         base = point.to_jacobian()
         table = [base]
         twice = _jac_double(curve, base)
@@ -98,20 +120,19 @@ def pippenger(scalars: Sequence[int], points: Sequence[Point],
               window: int = 0) -> Point:
     """Bucket-method multi-exponentiation.
 
-    Cost ≈ ``(bits/c) · (n + 2^c)`` point additions for n terms and
-    bucket width c, versus ``n · bits/2`` for naive per-term wNAF — the
-    difference between minutes and hours at model scale.
+    Cost ≈ ``(bits/c) · (n + 2^c)`` point additions and ``bits`` doublings
+    for n terms and bucket width c, versus ``n · bits/2`` for naive
+    per-term wNAF — the difference between minutes and hours at model
+    scale.  ``bits`` is the bit length of the largest *centred* scalar,
+    so a fixed-point gradient commitment runs ~20 bits of windows
+    instead of the group order's 256.
     """
     curve = _validate(scalars, points)
-    pairs = [
-        (scalar % curve.n, point)
-        for scalar, point in zip(scalars, points)
-        if scalar % curve.n != 0 and not point.is_identity
-    ]
+    pairs = _centred_terms(scalars, points, curve)
     if not pairs:
         return Point.identity(curve)
     c = window or pippenger_window(len(pairs))
-    total_bits = curve.n.bit_length()
+    total_bits = max(scalar for scalar, _ in pairs).bit_length()
     num_windows = -(-total_bits // c)
     mask = (1 << c) - 1
 

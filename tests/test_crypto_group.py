@@ -133,7 +133,9 @@ def test_mul_operator():
 
 def test_scalar_mult_matches_naive_reference():
     g = generator(SECP256R1)
-    for scalar in (7, 255, 256, 65537, 2**255 - 19):
+    half = SECP256R1.n // 2
+    for scalar in (7, 255, 256, 65537, 2**255 - 19,
+                   half, half + 1, SECP256R1.n - 2, SECP256R1.n - 2**20):
         assert scalar_mult(scalar, g) == naive_scalar_mult(scalar, g)
 
 
@@ -216,6 +218,11 @@ def test_from_bytes_rejects_bad_input():
         Point.from_bytes(SECP256K1, b"\x05" + bytes(32))
     with pytest.raises(ValueError):
         Point.from_bytes(SECP256K1, b"\x02" + bytes(31))
+    p = SECP256K1.p
+    off_curve_x = next(x for x in range(1, 100)
+                       if pow(x ** 3 + 7, (p - 1) // 2, p) == p - 1)
+    with pytest.raises(ValueError):
+        Point.from_bytes(SECP256K1, b"\x02" + off_curve_x.to_bytes(32, "big"))
 
 
 def test_parity_preserved():

@@ -1,9 +1,11 @@
 """Tests for multi-exponentiation, hash-to-curve, Pedersen commitments
 and the fixed-point codec."""
 
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
@@ -22,6 +24,7 @@ from repro.crypto import (
     sha256,
     straus,
 )
+from repro.crypto import multiexp
 from repro.crypto.multiexp import pippenger_window
 
 
@@ -100,13 +103,60 @@ def test_pippenger_window_monotone():
     assert pippenger_window(10**7) <= 16
 
 
-@settings(max_examples=5, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=2**128),
-                min_size=2, max_size=6))
-def test_multiexp_property(scalars):
-    g = generator(SECP256K1)
-    points = [scalar_mult(i + 3, g) for i in range(len(scalars))]
-    assert multi_scalar_mult(scalars, points) == reference_msm(scalars, points)
+N = SECP256K1.n
+
+#: A small point pool, negations included, so drawn terms repeat points
+#: and put ``P`` and ``-P`` into the same call (buckets that cancel).
+_POOL = [scalar_mult(k, generator(SECP256K1)) for k in (1, 2, 3)]
+_POOL += [-point for point in _POOL]
+
+#: Scalars around every boundary of the centred lift: fixed-point
+#: positives and negatives, ``n//2`` (kept) and ``n//2 + 1`` (lifted),
+#: ``n - 1``, zero, and full-width values.
+_EDGE_SCALARS = st.one_of(
+    st.integers(min_value=1, max_value=2**20),
+    st.integers(min_value=1, max_value=2**20).map(lambda k: N - k),
+    st.sampled_from([0, N // 2, N // 2 + 1, N - 1]),
+    st.integers(min_value=0, max_value=N - 1),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(_EDGE_SCALARS, st.integers(0, len(_POOL) - 1)),
+                min_size=1, max_size=24))
+@example([(5, 0), (5, 3)])          # 5·P + 5·(-P): a bucket cancels
+@example([(5, 0), (N - 5, 0)])      # the lift turns N-5 into 5·(-P)
+@example([(N - 5, 0), (5, 3)])      # ... and into the same bucket as 5·(-P)
+@example([(N // 2, 1), (N // 2 + 1, 1), (N - 1, 2)] * 6)
+def test_multiexp_property(terms):
+    scalars = [scalar for scalar, _ in terms]
+    points = [_POOL[index] for _, index in terms]
+    expected = reference_msm(scalars, points)
+    assert straus(scalars, points) == expected
+    assert pippenger(scalars, points) == expected
+    assert multi_scalar_mult(scalars, points) == expected
+
+
+def test_fixed_point_commit_doublings_follow_centred_bits(monkeypatch):
+    """A gradient commitment doubles over its centred bits, not 256."""
+    codec = FixedPointCodec(order=N, fractional_bits=16)
+    values = codec.encode(np.random.default_rng(13).normal(size=203))
+    assert sum(value > N // 2 for value in values) > 50
+    centred_bits = max(min(value, N - value) for value in values).bit_length()
+    real_double = multiexp._jac_double
+    doublings = []
+
+    def counting_double(curve, point):
+        doublings.append(point)
+        return real_double(curve, point)
+
+    monkeypatch.setattr(multiexp, "_jac_double", counting_double)
+    commitment = PedersenParams.setup(SECP256K1, 203).commit(values)
+    assert len(doublings) <= centred_bits + pippenger_window(203)
+    # The element the uncentred 256-bit windows produced.
+    assert commitment.to_bytes().hex() == (
+        "02110a4e99aa992025f5e7f9d9c013548aa2ad9e684c4a6a5c0ec0ee0663a5d6f0"
+    )
 
 
 # -- hash-to-curve / generators ----------------------------------------------------------
@@ -132,6 +182,23 @@ def test_derive_generators_deterministic_prefix():
     first = derive_generators(SECP256K1, 5)
     longer = derive_generators(SECP256K1, 10)
     assert longer[:5] == first
+
+
+#: SHA-256 over the compressed bytes of the first 256 generators.
+GENERATOR_DIGESTS = {
+    "secp256k1":
+        "a1cfdb3b778528f9bfb16e054470d4c5d2b1d1cf84cc6c98b8d62d31b9156391",
+    "secp256r1":
+        "b38bff1926e44d163bf07ab6df4df122709c470df6e186421320a8acaa76c366",
+}
+
+
+@pytest.mark.parametrize("curve", [SECP256K1, SECP256R1],
+                         ids=lambda curve: curve.name)
+def test_derive_generators_golden(curve):
+    encoded = b"".join(point.to_bytes()
+                       for point in derive_generators(curve, 256))
+    assert hashlib.sha256(encoded).hexdigest() == GENERATOR_DIGESTS[curve.name]
 
 
 def test_derive_generators_validation():
