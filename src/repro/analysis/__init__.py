@@ -10,20 +10,14 @@
 - :func:`run_dirshard_sweep` / :func:`dirshard_manifest` — the
   directory-sharding trajectory (registrations/sec vs shard count) and
   its gate against ``benchmarks/BENCH_dirshard.json``.
-- :class:`BenchRecord` / :class:`BenchTrajectory` — the host-cost bench
-  trajectory recorded by ``python -m repro.cli profile`` and gated
-  against ``benchmarks/BENCH_profile.json``.
+- :func:`profile_manifest` — a host profile as a RunManifest, recorded
+  and gated by ``python -m repro.cli profile`` against
+  ``benchmarks/BENCH_profile_{fig1,p1000}.json``.
 - :func:`diagnose_runs` / :class:`DiagnosisReport` — differential run
   diagnosis over manifest + profile pairs
   (``python -m repro.cli explain``).
 """
 
-from .bench import (
-    BENCH_VERSION,
-    BenchRecord,
-    BenchTrajectory,
-    DEFAULT_BENCH_THRESHOLD,
-)
 from .diagnose import (
     Attribution,
     DiagnosisReport,
@@ -49,11 +43,14 @@ from .scale import (
     DEFAULT_SHARD_COUNTS,
     DirshardPoint,
     DirshardScenario,
+    MIN_GATED_SHARE,
+    SHARE_THRESHOLD,
     ScalePoint,
     ScaleScenario,
     dirshard_manifest,
     format_dirshard_table,
     format_scale_table,
+    profile_manifest,
     run_dirshard_point,
     run_dirshard_sweep,
     run_scale_point,
@@ -65,16 +62,14 @@ from .sweeps import Sweep, SweepResults, grid
 
 __all__ = [
     "Attribution",
-    "BENCH_VERSION",
-    "BenchRecord",
-    "BenchTrajectory",
-    "DEFAULT_BENCH_THRESHOLD",
     "DEFAULT_DIRSHARD_POPULATIONS",
     "DEFAULT_POPULATIONS",
     "DEFAULT_SHARD_COUNTS",
     "DiagnosisReport",
     "DirshardPoint",
     "DirshardScenario",
+    "MIN_GATED_SHARE",
+    "SHARE_THRESHOLD",
     "ScalePoint",
     "ScaleScenario",
     "SubsystemShift",
@@ -86,6 +81,7 @@ __all__ = [
     "naive_aggregation_time",
     "naive_collection_time",
     "optimal_providers",
+    "profile_manifest",
     "Summary",
     "Sweep",
     "SweepResults",

@@ -1,4 +1,4 @@
-"""Population-scaling sweep: cost per simulated round vs trainer count.
+"""The committed baselines: scaling and sharding sweeps, host profiles.
 
 The scaling claim of this refactor is that a session models 10^2-10^5
 trainers at O(sample + cohorts) simulation cost: an exact seeded sample
@@ -35,13 +35,18 @@ Wall-clock is the only machine-dependent metric in the manifest; every
 other counter — including the telemetry-cost ones, which derive from
 the deterministic event stream and the obs memory model — must not
 move at all between runs.
+
+Every committed ``benchmarks/BENCH_*.json`` is a RunManifest built
+here (:func:`scale_manifest`, :func:`dirshard_manifest` and
+:func:`profile_manifest`), and every counter in it is higher-is-worse,
+which is the direction ``compare_manifests`` flags.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.profiling import SYSTEM_WALL_CLOCK, WallClock
 
@@ -51,11 +56,14 @@ __all__ = [
     "DEFAULT_SHARD_COUNTS",
     "DirshardPoint",
     "DirshardScenario",
+    "MIN_GATED_SHARE",
+    "SHARE_THRESHOLD",
     "ScalePoint",
     "ScaleScenario",
     "dirshard_manifest",
     "format_dirshard_table",
     "format_scale_table",
+    "profile_manifest",
     "run_dirshard_point",
     "run_dirshard_sweep",
     "run_scale_point",
@@ -69,6 +77,16 @@ DEFAULT_POPULATIONS = (100, 1_000, 10_000, 100_000)
 #: The committed directory-sharding trajectory.
 DEFAULT_SHARD_COUNTS = (1, 2, 4)
 DEFAULT_DIRSHARD_POPULATIONS = (1_000, 100_000)
+
+#: Profiler subsystems below this share of attributed time are left out
+#: of :func:`profile_manifest` (relative changes on tiny fractions flap).
+MIN_GATED_SHARE = 0.01
+
+#: Hotspot shares drift with machine noise; only a large relative shift
+#: (a subsystem's share of attributed time growing by half) is worth
+#: flagging, so ``cli profile`` gates ``bench.share.*`` at least this
+#: loosely.
+SHARE_THRESHOLD = 0.50
 
 
 @dataclass(frozen=True)
@@ -131,7 +149,10 @@ class ScalePoint:
     events_observed: int = 0
 
 
-def _build_session(population: int, scenario: ScaleScenario):
+def _build_session(population: int, scenario, directory=None):
+    """One sweep point's session; ``scenario`` is a :class:`ScaleScenario`
+    or a :class:`DirshardScenario`, ``directory`` an optional
+    :class:`~repro.core.DirectoryProfile`."""
     from ..core import CohortPlan, FLSession, ProtocolConfig
     from ..ml import Dataset, SyntheticModel
     from ..net import NetworkProfile
@@ -157,6 +178,7 @@ def _build_session(population: int, scenario: ScaleScenario):
             num_ipfs_nodes=scenario.num_ipfs_nodes,
             bandwidth_mbps=scenario.bandwidth_mbps,
         ),
+        directory=directory,
         cohort=CohortPlan(
             population=population,
             cohorts=scenario.cohorts,
@@ -197,6 +219,31 @@ def _timed_rounds(session, iterations: int, clock: WallClock) -> float:
         gc.unfreeze()
 
 
+def _min_wall(repeats: int, iterations: int, clock: Optional[WallClock],
+              build: Callable) -> Tuple[float, object]:
+    """Min wall seconds per round over ``repeats`` freshly built sessions.
+
+    The minimum is the right statistic for a regression gate: scheduler
+    noise only ever adds time, so the fastest repeat is the closest
+    estimate of the code's intrinsic cost.  ``build(last)`` returns a
+    fresh session (``last`` marks the final repeat) and the callables
+    that detach its observers, run after its timed window.  Returns the
+    minimum and the final session, whose deterministic counters the
+    caller reports.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if clock is None:
+        clock = SYSTEM_WALL_CLOCK
+    best_wall = float("inf")
+    for repeat in range(repeats):
+        session, detach = build(repeat == repeats - 1)
+        best_wall = min(best_wall, _timed_rounds(session, iterations, clock))
+        for close in detach:
+            close()
+    return best_wall, session
+
+
 def run_scale_point(population: int,
                     scenario: ScaleScenario = ScaleScenario(),
                     repeats: int = 1,
@@ -204,39 +251,29 @@ def run_scale_point(population: int,
                     clock: Optional[WallClock] = None) -> ScalePoint:
     """Run one population point; wall-clock is the min over ``repeats``.
 
-    The minimum is the right statistic for a regression gate: scheduler
-    noise only ever adds time, so the fastest repeat is the closest
-    estimate of the code's intrinsic cost.  ``progress`` is an optional
-    callable ``(session, registry) -> resource`` attached around the
-    final repeat (the one whose deterministic counters are reported);
-    its ``close()`` is called after the run.  ``clock`` is the wall
-    clock to measure with (default
+    ``progress`` is an optional callable ``(session, registry) ->
+    resource`` attached around the final repeat (the one whose
+    deterministic counters are reported); its ``close()`` is called
+    after the run.  ``clock`` is the wall clock to measure with (default
     :data:`~repro.obs.profiling.SYSTEM_WALL_CLOCK`; inject a
     :class:`~repro.obs.profiling.FakeWallClock` to make the measured
     wall time deterministic in tests).
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if clock is None:
-        clock = SYSTEM_WALL_CLOCK
-    best_wall = float("inf")
-    session = registry = sampler = None
-    for repeat in range(repeats):
+    registry = None
+
+    def build(last):
+        nonlocal registry
         session = _build_session(population, scenario)
-        registry = sampler = None
+        registry, detach = None, []
         if scenario.observed:
             registry, sampler = _attach_observability(session, scenario)
-        reporter = None
-        if progress is not None and repeat == repeats - 1:
-            reporter = progress(session, registry)
-        best_wall = min(best_wall, _timed_rounds(
-            session, scenario.iterations, clock))
-        if sampler is not None:
-            sampler.stop()
-        if registry is not None:
-            registry.close()
-        if reporter is not None:
-            reporter.close()
+            detach = [sampler.stop, registry.close]
+        if progress is not None and last:
+            detach.append(progress(session, registry).close)
+        return session, detach
+
+    best_wall, session = _min_wall(repeats, scenario.iterations, clock,
+                                   build)
     scheduler = session.testbed.network._scheduler
     return ScalePoint(
         population=population,
@@ -414,68 +451,27 @@ class DirshardPoint:
     shard_shares: Dict[str, float] = field(default_factory=dict)
 
 
-def _build_dirshard_session(population: int, shards: int,
-                            scenario: DirshardScenario):
-    from ..core import CohortPlan, DirectoryProfile, FLSession, \
-        ProtocolConfig
-    from ..ml import Dataset, SyntheticModel
-    from ..net import NetworkProfile
-    import numpy as np
-
-    config = ProtocolConfig(
-        num_partitions=scenario.num_partitions,
-        t_train=600.0,
-        t_sync=1200.0,
-        update_mode="gradient",
-        poll_interval=0.25,
-        seed=scenario.seed,
-    )
-    datasets = [
-        Dataset(np.full((1, 1), float(index + 1)), np.zeros(1))
-        for index in range(scenario.exact_trainers)
-    ]
-    return FLSession(
-        config,
-        lambda: SyntheticModel(scenario.model_params),
-        datasets,
-        network=NetworkProfile(
-            num_ipfs_nodes=scenario.num_ipfs_nodes,
-            bandwidth_mbps=scenario.bandwidth_mbps,
-        ),
-        directory=DirectoryProfile(
-            shards=shards,
-            replication=min(scenario.replication, shards),
-            placement=scenario.placement,
-            processing_delay=scenario.processing_delay,
-        ),
-        cohort=CohortPlan(
-            population=population,
-            cohorts=scenario.cohorts,
-            seed=scenario.seed,
-        ),
-    )
-
-
 def run_dirshard_point(population: int, shards: int,
                        scenario: DirshardScenario = DirshardScenario(),
                        repeats: int = 1,
                        clock: Optional[WallClock] = None) -> DirshardPoint:
     """Run one (population, shard count) point.
 
-    Wall-clock is the min over ``repeats`` (see
-    :func:`run_scale_point`); every other reported number derives from
-    the deterministic load ledger and must not move between runs.
+    Wall-clock is the min over ``repeats``; every other reported number
+    derives from the deterministic load ledger and must not move between
+    runs.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    if clock is None:
-        clock = SYSTEM_WALL_CLOCK
-    best_wall = float("inf")
-    session = None
-    for _ in range(repeats):
-        session = _build_dirshard_session(population, shards, scenario)
-        best_wall = min(best_wall, _timed_rounds(
-            session, scenario.iterations, clock))
+    from ..core import DirectoryProfile
+
+    sharding = DirectoryProfile(
+        shards=shards,
+        replication=min(scenario.replication, shards),
+        placement=scenario.placement,
+        processing_delay=scenario.processing_delay,
+    )
+    best_wall, session = _min_wall(
+        repeats, scenario.iterations, clock,
+        lambda last: (_build_session(population, scenario, sharding), []))
     directory = session.directory
     shard_servers = getattr(directory, "shards", None)
     if shard_servers is None:
@@ -535,15 +531,11 @@ def dirshard_manifest(points: Sequence[DirshardPoint],
 
     Like :func:`scale_manifest`, the fingerprint covers the scenario
     only, so a CI subset (one population, two shard counts) diffs
-    cleanly against the committed full trajectory.  Two counter
-    families should gate warn-only: the per-shard ``...share.{shard}``
-    load distribution (it moves whenever placement or the shard list
-    changes, which the fingerprint already guards) and
-    ``...regs_per_sec`` (higher is *better* there, while
-    :func:`~repro.obs.manifest.compare_manifests` treats growth as the
-    regression direction — ``...max_busy_seconds``, its exact inverse
-    dividend, carries the throughput gate).  ``python -m repro.cli
-    dirshard`` applies both exemptions.
+    cleanly against the committed full trajectory.  The per-shard
+    ``...share.{shard}`` load distribution never gates: it moves
+    whenever placement or the shard list changes, which the fingerprint
+    already guards.  Registrations/sec is not a counter: it is
+    ``registrations / max_busy_seconds``, both of which are.
     """
     from ..obs.manifest import RunManifest, config_fingerprint
 
@@ -557,7 +549,6 @@ def dirshard_manifest(points: Sequence[DirshardPoint],
         counters[f"{prefix}.served_units"] = float(point.served_units)
         counters[f"{prefix}.busy_seconds"] = point.busy_seconds
         counters[f"{prefix}.max_busy_seconds"] = point.max_busy_seconds
-        counters[f"{prefix}.regs_per_sec"] = point.registrations_per_second
         for shard, share in sorted(point.shard_shares.items()):
             counters[f"{prefix}.share.{shard}"] = share
     return RunManifest(
@@ -582,4 +573,32 @@ def format_dirshard_table(points: Sequence[DirshardPoint],
           round(point.registrations_per_second, 1)]
          for point in points],
         title=title,
+    )
+
+
+def profile_manifest(profile, iterations: int = 1):
+    """Package a :class:`~repro.obs.profiling.HostProfile` as a
+    RunManifest (``bench.*``).
+
+    ``bench.wall_per_iteration`` and ``bench.wall_per_sim`` (the inverse
+    of the sim-seconds-per-wall-second gauge, so a slowdown grows it)
+    plus ``bench.share.<subsystem>`` for every subsystem holding at
+    least :data:`MIN_GATED_SHARE` of attributed time.  The fingerprint
+    is the profiled session's own, so only runs of the same scenario
+    compare clean.
+    """
+    from ..obs.manifest import RunManifest
+
+    counters = {
+        "bench.wall_per_iteration":
+            profile.wall_seconds / max(int(iterations), 1),
+        "bench.wall_per_sim": (profile.wall_seconds / profile.sim_seconds
+                               if profile.sim_seconds > 0 else 0.0),
+    }
+    for subsystem, share in profile.shares().items():
+        if share >= MIN_GATED_SHARE:
+            counters[f"bench.share.{subsystem}"] = share
+    return RunManifest(
+        fingerprint=dict(profile.fingerprint),
+        counters=dict(sorted(counters.items())),
     )

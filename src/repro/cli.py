@@ -46,7 +46,7 @@ Subcommands
     shard's serialized seconds).  Optionally write the manifest and
     diff it against a committed baseline
     (``benchmarks/BENCH_dirshard.json``); per-shard load-share
-    counters are always compared warn-only (see docs/SCALING.md).
+    counters never gate (see docs/SCALING.md).
 ``status``
     Summarize the heartbeats of a live or finished run from a
     ``--progress`` JSONL file: last iteration, sim clock, event rate
@@ -61,15 +61,12 @@ Subcommands
     scope, per-subsystem shares and the sim-seconds-per-wall-second
     throughput gauge (see docs/OBSERVABILITY.md).  ``--output`` writes
     the JSON profile artifact, ``--perfetto`` a counter/slice trace
-    for ui.perfetto.dev.  With ``--scenario``, ``--record`` appends a
-    bench record to a committed trajectory file
-    (``benchmarks/BENCH_profile.json``) and ``--baseline`` diffs
-    against the trajectory's latest record, exiting non-zero on
-    regression (``--warn-only`` in noisy CI).
+    for ui.perfetto.dev.  ``--record`` writes the run's bench manifest
+    (wall per iteration, wall per simulated second, subsystem shares)
+    and ``--baseline`` diffs it against a committed one
+    (``benchmarks/BENCH_profile_{fig1,p1000}.json``).
 ``compare``
-    Diff two run manifests with a relative-change threshold; exits
-    non-zero when a metric regressed (use ``--warn-only`` in advisory
-    contexts like a new CI baseline).
+    Diff two run manifests with a relative-change threshold.
 ``explain``
     Differential run diagnosis: given two runs' artifacts (a
     RunManifest and/or HostProfile JSON per side, type sniffed from
@@ -99,6 +96,11 @@ Subcommands
     unless that kind was classified, ``--forbid-anomalies`` fails it if
     anything fired.
 
+``compare``, ``scale``, ``dirshard`` and ``profile`` share one
+regression gate: exit 1 when a metric regressed past ``--threshold``
+(0 with ``--warn-only``, for advisory contexts like noisy CI), exit 2
+when the baseline cannot be read.
+
 The trace-family subcommands (``trace``/``timeline``/``critical-path``/
 ``metrics``) share the same session knobs and flush their output even
 when the run fails mid-round (the partial timeline is exactly what you
@@ -110,18 +112,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .analysis import (
-    BenchRecord,
-    BenchTrajectory,
-    DEFAULT_BENCH_THRESHOLD,
     DEFAULT_DIRSHARD_POPULATIONS,
     DEFAULT_POPULATIONS,
     DEFAULT_SHARD_COUNTS,
     DirshardScenario,
+    SHARE_THRESHOLD,
     ScaleScenario,
     diagnose_runs,
     dirshard_manifest,
@@ -130,6 +130,7 @@ from .analysis import (
     format_table,
     load_run_artifact,
     optimal_providers,
+    profile_manifest,
     run_dirshard_sweep,
     run_scale_sweep,
     scale_manifest,
@@ -186,6 +187,20 @@ _INJECTABLE = {
     "lazy": lambda: LazyBehavior(),
     "replay": lambda: ReplayUpdateBehavior(),
 }
+
+
+def _add_gate_args(sub, default_threshold: float,
+                   baseline_flag: bool = True) -> None:
+    """The regression-gate flags of the baseline-diffing subcommands
+    (``compare`` takes its baseline as a positional instead)."""
+    if baseline_flag:
+        sub.add_argument("--baseline", default=None,
+                         help="committed RunManifest JSON to diff against")
+    sub.add_argument("--threshold", type=float, default=default_threshold,
+                     help="relative regression tolerance vs the baseline "
+                          "(0.10 = 10%%)")
+    sub.add_argument("--warn-only", action="store_true",
+                     help="report regressions but exit 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,10 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("baseline", help="baseline manifest JSON")
     compare.add_argument("current", help="candidate manifest JSON")
-    compare.add_argument("--threshold", type=float, default=0.10,
-                         help="relative-change tolerance (0.10 = 10%%)")
-    compare.add_argument("--warn-only", action="store_true",
-                         help="report regressions but exit 0")
+    _add_gate_args(compare, 0.10, baseline_flag=False)
 
     explain = subparsers.add_parser(
         "explain",
@@ -426,13 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--seed", type=int, default=7)
     scale.add_argument("--output", default=None,
                        help="write the sweep manifest JSON here")
-    scale.add_argument("--baseline", default=None,
-                       help="committed manifest to diff against "
-                            "(e.g. benchmarks/BENCH_scale.json)")
-    scale.add_argument("--threshold", type=float, default=0.20,
-                       help="relative regression tolerance vs baseline")
-    scale.add_argument("--warn-only", action="store_true",
-                       help="report regressions but exit 0")
+    _add_gate_args(scale, 0.20)
     scale.add_argument("--observe", action="store_true",
                        help="attach the bounded metrics stack (registry "
                             "+ resource sampler) to every point and "
@@ -484,15 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     dirshard.add_argument("--seed", type=int, default=7)
     dirshard.add_argument("--output", default=None,
                           help="write the sweep manifest JSON here")
-    dirshard.add_argument("--baseline", default=None,
-                          help="committed manifest to diff against "
-                               "(e.g. benchmarks/BENCH_dirshard.json)")
-    dirshard.add_argument("--threshold", type=float, default=0.20,
-                          help="relative regression tolerance vs "
-                               "baseline (shard shares are always "
-                               "warn-only)")
-    dirshard.add_argument("--warn-only", action="store_true",
-                          help="report regressions but exit 0")
+    _add_gate_args(dirshard, 0.20)
 
     status = subparsers.add_parser(
         "status",
@@ -513,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run a session under the host-cost profiler; print the "
              "wall-clock hotspot report and optionally record/gate a "
-             "bench trajectory",
+             "bench manifest",
     )
     add_trace_session_args(profile)
     profile.add_argument("--providers", type=int, default=0,
@@ -536,23 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--perfetto", default=None,
                          help="write a Perfetto counter/slice trace "
                               "here (open in ui.perfetto.dev)")
-    profile.add_argument("--scenario", default=None,
-                         help="bench scenario name keying --record / "
-                              "--baseline")
-    profile.add_argument("--baseline", default=None,
-                         help="bench trajectory JSON to diff against "
-                              "(e.g. benchmarks/BENCH_profile.json); "
-                              "requires --scenario")
     profile.add_argument("--record", default=None,
-                         help="append this run's bench record to the "
-                              "trajectory JSON here; requires "
-                              "--scenario")
-    profile.add_argument("--threshold", type=float,
-                         default=DEFAULT_BENCH_THRESHOLD,
-                         help="relative regression tolerance vs the "
-                              "baseline record")
-    profile.add_argument("--warn-only", action="store_true",
-                         help="report regressions but exit 0")
+                         help="write this run's bench manifest JSON here")
+    _add_gate_args(profile, 0.25)
 
     reproduce = subparsers.add_parser(
         "reproduce",
@@ -1077,8 +1061,43 @@ def _run_chaos(args) -> int:
     return 0
 
 
-def _run_scale(args) -> int:
-    scenario = ScaleScenario(
+def _load_manifest(path: str) -> Optional[RunManifest]:
+    """The RunManifest at ``path``, or None after one stderr line."""
+    try:
+        return RunManifest.load(path)
+    except (OSError, ValueError) as error:
+        print(f"cannot read manifest {path}: {error}", file=sys.stderr)
+        return None
+
+
+def _gate(args, current: RunManifest,
+          thresholds: Optional[Dict[str, float]] = None) -> int:
+    """Diff ``current`` against ``args.baseline`` and print the diff.
+
+    Returns 0 when clean, ungated (no baseline) or ``--warn-only``, 1
+    on a regression past ``--threshold`` and 2 when the baseline cannot
+    be read.  ``thresholds`` maps a counter-name fragment to its own
+    tolerance for every counter containing it.
+    """
+    if not args.baseline:
+        return 0
+    baseline = _load_manifest(args.baseline)
+    if baseline is None:
+        return 2
+    keys = (set(baseline.comparable_metrics())
+            | set(current.comparable_metrics()))
+    diff = compare_manifests(
+        baseline, current, threshold=args.threshold,
+        thresholds={key: limit
+                    for fragment, limit in (thresholds or {}).items()
+                    for key in keys if fragment in key},
+    )
+    print(diff.format())
+    return 1 if diff.has_regressions and not args.warn_only else 0
+
+
+def _scale_scenario(args) -> ScaleScenario:
+    return ScaleScenario(
         exact_trainers=args.sample,
         cohorts=args.cohorts,
         num_partitions=args.partitions,
@@ -1090,6 +1109,10 @@ def _run_scale(args) -> int:
         observed=args.observe,
         event_sample_rate=args.event_sample_rate,
     )
+
+
+def _run_scale(args) -> int:
+    scenario = _scale_scenario(args)
     progress_stream = sys.stderr if args.progress else None
     points = run_scale_sweep(args.populations, scenario,
                              repeats=args.repeats,
@@ -1105,18 +1128,11 @@ def _run_scale(args) -> int:
     if args.output:
         manifest.write(args.output)
         print(f"manifest written to {args.output}")
-    if args.baseline:
-        baseline = RunManifest.load(args.baseline)
-        diff = compare_manifests(baseline, manifest,
-                                 threshold=args.threshold)
-        print(diff.format())
-        if diff.has_regressions and not args.warn_only:
-            return 1
-    return 0
+    return _gate(args, manifest)
 
 
-def _run_dirshard(args) -> int:
-    scenario = DirshardScenario(
+def _dirshard_scenario(args) -> DirshardScenario:
+    return DirshardScenario(
         exact_trainers=args.sample,
         cohorts=args.cohorts,
         num_partitions=args.partitions,
@@ -1129,6 +1145,10 @@ def _run_dirshard(args) -> int:
         placement=args.placement,
         processing_delay=args.processing_delay,
     )
+
+
+def _run_dirshard(args) -> int:
+    scenario = _dirshard_scenario(args)
     points = run_dirshard_sweep(args.populations, args.shards,
                                 scenario=scenario, repeats=args.repeats)
     print(format_dirshard_table(
@@ -1141,34 +1161,23 @@ def _run_dirshard(args) -> int:
     if args.output:
         manifest.write(args.output)
         print(f"manifest written to {args.output}")
-    if args.baseline:
-        baseline = RunManifest.load(args.baseline)
-        # Two counter families never gate: load shares (they move
-        # whenever the shard list or placement changes, which the
-        # fingerprint already guards) and regs_per_sec (higher is
-        # *better* there, while the manifest diff treats growth as the
-        # regression direction — max_busy_seconds, its exact inverse
-        # dividend, carries the throughput gate instead).
-        keys = set(manifest.counters) | set(baseline.counters)
-        diff = compare_manifests(
-            baseline, manifest, threshold=args.threshold,
-            thresholds={k: float("inf") for k in keys
-                        if ".share." in k or k.endswith(".regs_per_sec")},
-        )
-        print(diff.format())
-        if diff.has_regressions and not args.warn_only:
-            return 1
-    return 0
+    # Load shares never gate: they move whenever the shard list or
+    # placement changes, which the fingerprint already guards.
+    return _gate(args, manifest, thresholds={".share.": float("inf")})
 
 
-def _run_profile(args) -> int:
+def _build_profile_session(args) -> FLSession:
     from .core import CohortPlan
 
     cohort = None
     if args.population > 0:
         cohort = CohortPlan(population=args.population,
                             cohorts=args.cohorts, seed=args.seed)
-    session = _build_trace_session(args, cohort=cohort)
+    return _build_trace_session(args, cohort=cohort)
+
+
+def _run_profile(args) -> int:
+    session = _build_profile_session(args)
     registry = MetricsRegistry(session.sim.bus) if args.observe else None
     profiler = HostProfiler()
     profiler.attach(session)
@@ -1185,38 +1194,20 @@ def _run_profile(args) -> int:
         print(f"profile -> {args.output}", file=sys.stderr)
     if args.perfetto:
         exporter = PerfettoExporter()
-        exporter.add_profile(profile, label=args.scenario or "profile")
+        exporter.add_profile(profile, label="profile")
         exporter.write(args.perfetto)
         print(f"perfetto trace -> {args.perfetto} "
               "(open in ui.perfetto.dev)", file=sys.stderr)
     status = _report_failure(failure)
     if status:
         return status
-    if (args.baseline or args.record) and not args.scenario:
-        print("--baseline/--record require --scenario", file=sys.stderr)
-        return 2
-    if args.scenario:
-        record = BenchRecord.from_profile(
-            profile, scenario=args.scenario, iterations=args.rounds,
-        )
-        if args.baseline:
-            trajectory = BenchTrajectory.load(args.baseline)
-            diff = trajectory.compare(record, threshold=args.threshold)
-            if diff is None:
-                print(f"no committed record for scenario "
-                      f"{args.scenario!r} in {args.baseline}; "
-                      "nothing to compare")
-            else:
-                print(diff.format())
-                if diff.has_regressions and not args.warn_only:
-                    return 1
-        if args.record:
-            trajectory = BenchTrajectory.load(args.record)
-            trajectory.append(record)
-            trajectory.save(args.record)
-            print(f"bench record ({args.scenario}) -> {args.record}",
-                  file=sys.stderr)
-    return 0
+    manifest = profile_manifest(profile, iterations=args.rounds)
+    if args.record:
+        manifest.write(args.record)
+        print(f"bench manifest -> {args.record}", file=sys.stderr)
+    # Hotspot shares are noisy fractions: gate them more loosely.
+    return _gate(args, manifest, thresholds={
+        "bench.share.": max(args.threshold, SHARE_THRESHOLD)})
 
 
 def _run_status(args) -> int:
@@ -1257,13 +1248,8 @@ def _run_status(args) -> int:
 
 
 def _run_compare(args) -> int:
-    baseline = RunManifest.load(args.baseline)
-    current = RunManifest.load(args.current)
-    diff = compare_manifests(baseline, current, threshold=args.threshold)
-    print(diff.format())
-    if diff.has_regressions and not args.warn_only:
-        return 1
-    return 0
+    current = _load_manifest(args.current)
+    return 2 if current is None else _gate(args, current)
 
 
 def _run_explain(args) -> int:

@@ -13,7 +13,6 @@ Public surface:
 - :func:`hash_to_curve`, :func:`derive_generators`, :func:`sha256`.
 """
 
-from .batch import batch_verify, random_scalars
 from .curves import CurveParams, SECP256K1, SECP256R1, curve_by_name
 from .encoding import FixedPointCodec
 from .field import inverse_mod, is_quadratic_residue, legendre_symbol, sqrt_mod
@@ -24,8 +23,6 @@ from .pedersen import Commitment, PedersenParams
 
 __all__ = [
     "Commitment",
-    "batch_verify",
-    "random_scalars",
     "CurveParams",
     "FixedPointCodec",
     "PedersenParams",

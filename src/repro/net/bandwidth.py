@@ -353,16 +353,16 @@ class FlowScheduler:
         self._recompute(seeds)
         return aborted
 
-    def rates_changed(self, links: Optional[Iterable[Link]] = None) -> None:
+    def rates_changed(self, links: Iterable[Link]) -> None:
         """Re-allocate rates after a link capacity mutation.
 
         ``links`` names the mutated links so only their component is
-        recomputed; None recomputes everything (legacy callers).
-        Progress up to now is accounted at the old rates; the completion
-        wakeup scheduled against them is cancelled and re-armed.
+        recomputed.  Progress up to now is accounted at the old rates;
+        the completion wakeup scheduled against them is cancelled and
+        re-armed.
         """
         self._advance()
-        self._recompute(tuple(links) if links is not None else None)
+        self._recompute(tuple(links))
 
     # -- internals ----------------------------------------------------------
 
@@ -386,8 +386,7 @@ class FlowScheduler:
                 if not members:
                     del self._link_flows[link]
 
-    def _component_flows(self,
-                         seed_links: Optional[Sequence[Link]]) -> List[Flow]:
+    def _component_flows(self, seed_links: Sequence[Link]) -> List[Flow]:
         """Flows in the connected component(s) touching ``seed_links``.
 
         Components are taken over *finite* links only: an infinite-capacity
@@ -397,8 +396,6 @@ class FlowScheduler:
         may have just made one infinite).  Returned in flow_id order, the
         relative order a global recomputation would use.
         """
-        if seed_links is None:
-            return list(self._flows)
         frontier: List[Link] = []
         seen_links: Set[Link] = set()
         for link in seed_links:
@@ -420,7 +417,7 @@ class FlowScheduler:
                         frontier.append(other)
         return sorted(component, key=lambda flow: flow.flow_id)
 
-    def _recompute(self, seed_links: Optional[Sequence[Link]]) -> None:
+    def _recompute(self, seed_links: Sequence[Link]) -> None:
         """Re-allocate the affected component and re-arm the wakeup."""
         self._epoch += 1
         if self._wakeup is not None:
@@ -429,8 +426,7 @@ class FlowScheduler:
             self._wakeup = None
         if not self._flows:
             return
-        if (seed_links is None
-                or len(self._flows) <= self.small_recompute_limit):
+        if len(self._flows) <= self.small_recompute_limit:
             # Small in-flight sets: skip component discovery and
             # re-allocate everything — rate-identical (see
             # _SMALL_RECOMPUTE_LIMIT) and cheaper than the BFS.

@@ -104,6 +104,8 @@ class RunManifest:
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("a run manifest is a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{k: v for k, v in raw.items() if k in known})
 

@@ -1,21 +1,20 @@
-"""Tests for the host-cost bench trajectory (repro.analysis.bench)."""
+"""Tests for the host-profile bench manifest (repro.analysis.profile_manifest)
+and the looser share gate ``cli profile`` puts on it."""
 
 import json
 
 import pytest
 
-from repro.analysis.bench import (
-    BENCH_VERSION,
-    BenchRecord,
-    BenchTrajectory,
-    MIN_GATED_SHARE,
-    SHARE_THRESHOLD,
-)
-from repro.obs.profiling import HostProfile, ScopeStat
+from repro import cli
+from repro.analysis import MIN_GATED_SHARE, SHARE_THRESHOLD, profile_manifest
+from repro.obs import RunManifest, compare_manifests
+from repro.obs.profiling import FakeWallClock, HostProfile, HostProfiler, \
+    ScopeStat
 
 
-def _profile(wall=2.0, sim=100.0):
+def _profile(wall=2.0, sim=100.0, scenario="fig1"):
     return HostProfile(
+        fingerprint={"scenario": scenario, "digest": f"digest-{scenario}"},
         wall_seconds=wall, sim_seconds=sim, dispatches=10,
         scopes=(
             ScopeStat("kernel", "dispatch", "trainer", 5, 0.6, 0.6),
@@ -26,69 +25,54 @@ def _profile(wall=2.0, sim=100.0):
     )
 
 
-def _record(wall=2.0, sim=100.0, scenario="fig1"):
-    return BenchRecord.from_profile(_profile(wall, sim), scenario,
-                                    iterations=2)
+def _manifest(wall=2.0, sim=100.0, scenario="fig1"):
+    return profile_manifest(_profile(wall, sim, scenario), iterations=2)
 
 
 def test_from_profile_distills_the_gauge_and_shares():
-    record = _record()
-    assert record.scenario == "fig1"
-    assert record.iterations == 2
-    assert record.wall_per_iteration == pytest.approx(1.0)
-    assert record.wall_per_sim == pytest.approx(0.02)
-    assert record.sim_per_wall == pytest.approx(50.0)
-    assert record.shares["kernel"] == pytest.approx(0.6 / 0.901)
-    assert sum(record.shares.values()) == pytest.approx(1.0)
+    counters = _manifest().counters
+    assert counters["bench.wall_per_iteration"] == pytest.approx(1.0)
+    assert counters["bench.wall_per_sim"] == pytest.approx(0.02)
+    assert counters["bench.share.kernel"] == pytest.approx(0.6 / 0.901)
+    assert counters["bench.share.crypto"] == pytest.approx(0.3 / 0.901)
+    assert list(counters) == sorted(counters)
 
 
 def test_manifest_gates_higher_is_worse_and_drops_tiny_shares():
-    manifest = _record().to_manifest()
+    manifest = _manifest()
     assert "bench.wall_per_iteration" in manifest.counters
     assert "bench.wall_per_sim" in manifest.counters
     assert "bench.share.kernel" in manifest.counters
-    # obs share ~0.1% < MIN_GATED_SHARE: in the record, not the gate.
-    assert _record().shares["obs"] < MIN_GATED_SHARE
+    # obs share ~0.1% < MIN_GATED_SHARE: in the profile, not the gate.
+    assert _profile().shares()["obs"] < MIN_GATED_SHARE
     assert "bench.share.obs" not in manifest.counters
-    # Same scenario -> same fingerprint digest, any wall numbers.
-    other = _record(wall=9.0, sim=1.0).to_manifest()
+    # The fingerprint is the profiled session's own: any wall numbers
+    # of the same scenario share a digest, another scenario does not.
+    other = _manifest(wall=9.0, sim=1.0)
     assert manifest.fingerprint["digest"] == other.fingerprint["digest"]
-    assert _record(scenario="p1000").to_manifest().fingerprint["digest"] \
+    assert _manifest(scenario="p1000").fingerprint["digest"] \
         != manifest.fingerprint["digest"]
 
 
-def test_trajectory_round_trips_and_missing_file_is_empty(tmp_path):
-    path = tmp_path / "BENCH_profile.json"
-    assert BenchTrajectory.load(path).scenarios == {}
-    trajectory = BenchTrajectory()
-    trajectory.append(_record())
-    trajectory.append(_record(wall=1.8))
-    trajectory.append(_record(scenario="p1000"))
-    trajectory.save(path)
-    loaded = BenchTrajectory.load(path)
-    assert sorted(loaded.scenarios) == ["fig1", "p1000"]
-    assert len(loaded.scenarios["fig1"]) == 2
-    assert loaded.latest("fig1") == _record(wall=1.8)
-    assert loaded.latest("absent") is None
-    data = json.loads(path.read_text())
-    assert data["version"] == BENCH_VERSION
-    with pytest.raises(ValueError):
-        BenchTrajectory.from_dict({"version": 99})
+def test_profile_manifest_round_trips_through_json(tmp_path):
+    path = tmp_path / "BENCH_profile_fig1.json"
+    _manifest().write(path)
+    assert RunManifest.load(path) == _manifest()
+    assert json.loads(path.read_text())["counters"][
+        "bench.wall_per_iteration"] == pytest.approx(1.0)
 
 
-def test_compare_returns_none_without_a_baseline_record():
-    trajectory = BenchTrajectory()
-    assert trajectory.compare(_record()) is None
-    trajectory.append(_record(scenario="p1000"))
-    assert trajectory.compare(_record(scenario="fig1")) is None
+def test_compare_reports_counters_missing_from_the_baseline_as_added():
+    diff = compare_manifests(RunManifest(), _manifest())
+    assert not diff.has_regressions
+    assert "bench.wall_per_iteration" in diff.added
 
 
 def test_compare_flags_a_wall_clock_regression():
-    trajectory = BenchTrajectory()
-    trajectory.append(_record(wall=1.0))
-    clean = trajectory.compare(_record(wall=1.1), threshold=0.25)
-    assert clean is not None and not clean.has_regressions
-    slow = trajectory.compare(_record(wall=2.0), threshold=0.25)
+    base = _manifest(wall=1.0)
+    clean = compare_manifests(base, _manifest(wall=1.1), threshold=0.25)
+    assert not clean.has_regressions
+    slow = compare_manifests(base, _manifest(wall=2.0), threshold=0.25)
     assert slow.has_regressions
     regressed = {entry.metric for entry in slow.regressions}
     assert "bench.wall_per_iteration" in regressed
@@ -98,25 +82,33 @@ def test_compare_flags_a_wall_clock_regression():
                    for metric in regressed)
 
 
-def test_share_metrics_use_the_looser_threshold():
-    baseline = _profile()
-    current = HostProfile(
-        wall_seconds=2.0, sim_seconds=100.0, dispatches=10,
-        scopes=(
-            # kernel share drifts 0.666 -> 0.555 (~17% relative): noise.
-            ScopeStat("kernel", "dispatch", "trainer", 5, 0.5, 0.5),
-            ScopeStat("crypto", "commit", "trainer", 2, 0.4, 0.4),
-        ),
-    )
-    trajectory = BenchTrajectory()
-    trajectory.append(BenchRecord.from_profile(baseline, "fig1"))
-    diff = trajectory.compare(
-        BenchRecord.from_profile(current, "fig1"), threshold=0.10)
-    share_regressions = {
-        entry.metric for entry in diff.regressions
-        if entry.metric.startswith("bench.share.")
-    }
-    # crypto grew 0.333 -> 0.444 (~33% relative) — above the 10%
-    # wall threshold but under SHARE_THRESHOLD, so not flagged.
+def test_share_metrics_use_the_looser_threshold(tmp_path, capsys,
+                                                monkeypatch):
+    # A ticking fake clock makes the profile, shares included, a pure
+    # function of the simulated run, so reruns diff exactly.
+    monkeypatch.setattr(cli, "HostProfiler",
+                        lambda: HostProfiler(clock=FakeWallClock(tick=1e-6)))
+    path = tmp_path / "BENCH_profile.json"
+    run = ["profile", "--trainers", "4", "--rounds", "1", "--partitions",
+           "2", "--ipfs-nodes", "4", "--params", "2000", "--verifiable",
+           "--threshold", "0.10"]
+    assert cli.main(run + ["--record", str(path)]) == 0
+    recorded = json.loads(path.read_text())
+    key = max((k for k in recorded["counters"]
+               if k.startswith("bench.share.")),
+              key=recorded["counters"].get)
+
+    # A share ~33% larger than the baseline's: past the 10% wall
+    # threshold but under SHARE_THRESHOLD, so not flagged.
     assert 0.33 < SHARE_THRESHOLD
-    assert not share_regressions
+    recorded["counters"][key] /= 1.33
+    path.write_text(json.dumps(recorded))
+    capsys.readouterr()
+    assert cli.main(run + ["--baseline", str(path)]) == 0
+    assert "0 regression(s)" in capsys.readouterr().out
+
+    # Twice the baseline's share is past SHARE_THRESHOLD too.
+    recorded["counters"][key] *= 1.33 / 2.0
+    path.write_text(json.dumps(recorded))
+    assert cli.main(run + ["--baseline", str(path)]) == 1
+    assert key in capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -445,48 +447,95 @@ def test_profile_writes_artifacts_and_shares_sum_to_one(tmp_path, capsys):
                for event in trace["traceEvents"])
 
 
-def test_profile_records_then_gates_a_doctored_regression(tmp_path, capsys):
+def _fake_profiler_clock(monkeypatch):
+    """Profile with a ticking fake clock: the profile is then a pure
+    function of the simulated run, so a rerun diffs exactly."""
+    import repro.cli
+    from repro.obs import FakeWallClock, HostProfiler
+
+    monkeypatch.setattr(repro.cli, "HostProfiler",
+                        lambda: HostProfiler(clock=FakeWallClock(tick=1e-6)))
+
+
+def test_profile_records_then_gates_a_doctored_regression(
+        tmp_path, capsys, monkeypatch):
     import json
 
-    trajectory_path = tmp_path / "BENCH_profile.json"
-    assert main(_profile_args([
-        "--scenario", "smoke", "--record", str(trajectory_path),
-    ])) == 0
-    capsys.readouterr()
+    _fake_profiler_clock(monkeypatch)
+    manifest_path = tmp_path / "BENCH_profile.json"
+    assert main(_profile_args(["--record", str(manifest_path)])) == 0
+    assert "bench manifest ->" in capsys.readouterr().err
 
-    # Doctor the committed record to claim the run used to be 100x
+    # A rerun of the same scenario diffs clean against its record.
+    assert main(_profile_args(["--baseline", str(manifest_path)])) == 0
+    assert "0 regression(s)" in capsys.readouterr().out
+
+    # Doctor the committed manifest to claim the run used to be 100x
     # faster: the next gated run must regress.
-    data = json.loads(trajectory_path.read_text())
-    (record,) = data["scenarios"]["smoke"]
-    record["wall_per_iteration"] /= 100.0
-    record["wall_per_sim"] /= 100.0
-    trajectory_path.write_text(json.dumps(data))
+    data = json.loads(manifest_path.read_text())
+    data["counters"]["bench.wall_per_iteration"] /= 100.0
+    data["counters"]["bench.wall_per_sim"] /= 100.0
+    manifest_path.write_text(json.dumps(data))
 
-    assert main(_profile_args([
-        "--scenario", "smoke", "--baseline", str(trajectory_path),
-    ])) == 1
+    assert main(_profile_args(["--baseline", str(manifest_path)])) == 1
     out = capsys.readouterr().out
-    assert "regression" in out
+    assert "REGRESSION" in out and "bench.wall_per_iteration" in out
     assert main(_profile_args([
-        "--scenario", "smoke", "--baseline", str(trajectory_path),
-        "--warn-only",
+        "--baseline", str(manifest_path), "--warn-only",
     ])) == 0
     capsys.readouterr()
-
-
-def test_profile_baseline_without_scenario_is_a_usage_error(
-        tmp_path, capsys):
-    assert main(_profile_args(
-        ["--baseline", str(tmp_path / "t.json")])) == 2
-    assert "--scenario" in capsys.readouterr().err
 
 
 def test_profile_baseline_without_a_record_reports_and_passes(
         tmp_path, capsys):
+    from repro.obs import RunManifest
+
     path = tmp_path / "empty.json"
-    assert main(_profile_args(
-        ["--scenario", "fresh", "--baseline", str(path)])) == 0
-    assert "nothing to compare" in capsys.readouterr().out
+    RunManifest().write(path)
+    assert main(_profile_args(["--baseline", str(path)])) == 0
+    out = capsys.readouterr().out
+    assert "0 regression(s)" in out
+    assert re.search(r"\b[1-9]\d* added", out)
+
+
+# -- the shared regression gate ------------------------------------------------
+
+
+SMALL_SCALE = ["scale", "--populations", "40", "--sample", "4",
+               "--cohorts", "4", "--partitions", "2", "--params", "2000",
+               "--ipfs-nodes", "4"]
+SMALL_DIRSHARD = ["dirshard", "--populations", "40", "--shards", "2",
+                  "--sample", "4", "--cohorts", "4", "--partitions", "2",
+                  "--params", "2000", "--ipfs-nodes", "4"]
+
+
+@pytest.mark.parametrize("command", ["compare", "scale", "dirshard",
+                                     "profile"])
+def test_unreadable_baseline_is_a_usage_error(command, tmp_path, capsys):
+    """A missing or malformed baseline exits 2 with one stderr line
+    naming the path, never a traceback."""
+    from repro.obs import RunManifest
+
+    current = tmp_path / "current.json"
+    RunManifest(counters={"x": 1.0}).write(current)
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    for baseline in (tmp_path / "absent.json", malformed, not_an_object):
+        if command == "compare":
+            argv = ["compare", str(baseline), str(current)]
+        else:
+            run = {"scale": SMALL_SCALE, "dirshard": SMALL_DIRSHARD,
+                   "profile": _profile_args()}[command]
+            argv = run + ["--baseline", str(baseline)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(baseline) in err[0]
+    if command == "compare":
+        assert main(["compare", str(current),
+                     str(tmp_path / "absent.json")]) == 2
+        assert "absent.json" in capsys.readouterr().err
 
 
 def test_profile_with_a_population_covers_the_cohort_role(

@@ -1,5 +1,5 @@
-"""Tests for the Sec. VI extensions: batch registration, directory map
-snapshots on IPFS, and batch verification of Pedersen openings."""
+"""Tests for the Sec. VI extensions: batch registration and directory
+map snapshots on IPFS."""
 
 import numpy as np
 import pytest
@@ -17,12 +17,6 @@ from repro.core import (
     encode_snapshot,
 )
 from repro.core.directory import DirectoryClient
-from repro.crypto import (
-    PedersenParams,
-    SECP256K1,
-    batch_verify,
-    random_scalars,
-)
 from repro.ipfs import IPFSClient, compute_cid
 from repro.ml import LogisticRegression, make_classification, split_iid
 from repro.net import NetworkProfile
@@ -195,70 +189,3 @@ def test_snapshot_publish_and_fetch_over_ipfs():
     assert all(row["cid"] == data_cid for row in rows)
     assert publisher.snapshot_cid(0, 0) == box["snapshot_cid"]
     assert publisher.snapshot_cid(1, 0) is None
-
-
-# -- batch verification ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def pedersen():
-    return PedersenParams.setup(SECP256K1, 6)
-
-
-def make_openings(pedersen, count, seed=0):
-    rng = np.random.default_rng(seed)
-    openings = []
-    for _ in range(count):
-        values = [int(v) for v in rng.integers(-1000, 1000, size=6)]
-        openings.append((values, pedersen.commit(values)))
-    return openings
-
-
-def test_batch_verify_accepts_valid(pedersen):
-    openings = make_openings(pedersen, 5)
-    assert batch_verify(pedersen, openings, seed=42)
-
-
-def test_batch_verify_rejects_one_bad(pedersen):
-    openings = make_openings(pedersen, 5)
-    values, commitment = openings[2]
-    tampered = list(values)
-    tampered[0] += 1
-    openings[2] = (tampered, commitment)
-    assert not batch_verify(pedersen, openings, seed=42)
-
-
-def test_batch_verify_rejects_swapped_commitments(pedersen):
-    openings = make_openings(pedersen, 3)
-    swapped = [
-        (openings[0][0], openings[1][1]),
-        (openings[1][0], openings[0][1]),
-        openings[2],
-    ]
-    assert not batch_verify(pedersen, swapped, seed=42)
-
-
-def test_batch_verify_empty_is_true(pedersen):
-    assert batch_verify(pedersen, [])
-
-
-def test_batch_verify_mixed_lengths(pedersen):
-    openings = [
-        ([1, 2], pedersen.commit([1, 2])),
-        ([3, 4, 5, 6], pedersen.commit([3, 4, 5, 6])),
-    ]
-    assert batch_verify(pedersen, openings, seed=1)
-
-
-def test_batch_verify_identity_commitments(pedersen):
-    openings = [([0, 0], pedersen.commit([0, 0]))]
-    assert batch_verify(pedersen, openings, seed=1)
-    openings.append(([7], pedersen.commit([7])))
-    assert batch_verify(pedersen, openings, seed=1)
-
-
-def test_random_scalars_properties():
-    scalars = random_scalars(10, SECP256K1.n, seed=3)
-    assert len(scalars) == 10
-    assert all(0 < s < (1 << 128) for s in scalars)
-    assert random_scalars(10, SECP256K1.n, seed=3) == scalars
